@@ -30,7 +30,10 @@ use std::time::Instant;
 
 use vtpm::Platform;
 use vtpm_attest::{IssuerConfig, QuoteIssuer, Submission, VerifierConfig, VerifierPool};
-use vtpm_harness::{run_attest_chaos, AttestChaosConfig};
+use vtpm_harness::{run_attest_chaos, AttestChaosConfig, AttestChaosReport};
+use vtpm_telemetry::json_str;
+
+use crate::json_list;
 
 /// The cached plane must clear this multiple of the per-request qps at
 /// unchanged PCR state.
@@ -77,21 +80,10 @@ pub struct DefenseRow {
     pub seed: String,
     /// Whether this row injected attacks (false = FP sweep).
     pub attack: bool,
-    /// Replay injections presented / refused.
-    pub injected_replays: u64,
-    /// Replay injections refused as `Replayed`.
-    pub replays_refused: u64,
-    /// Stale injections presented / refused.
-    pub injected_stale: u64,
-    /// Stale injections refused as `Stale`.
-    pub stale_refused: u64,
-    /// Whether the storm verifier ended the run throttled.
-    pub storm_throttled: bool,
-    /// Critical sentinel alerts (attack rows expect ≥ 2; clean rows
-    /// must see 0 — a violation shows up in `divergences`).
-    pub critical: u64,
-    /// Violated expectations, verbatim from the scenario family.
-    pub divergences: Vec<String>,
+    /// The scenario's report: attack rows expect every injection
+    /// refused, the storm throttled, and ≥ 2 critical alerts; clean rows
+    /// must see 0 — any violation shows up in its `divergences`.
+    pub report: AttestChaosReport,
 }
 
 /// The full R-A1 result.
@@ -112,7 +104,7 @@ pub struct A1Report {
 pub fn gate_failed(r: &A1Report) -> bool {
     r.speedup < MIN_CACHE_SPEEDUP
         || r.verify.accepted != r.verify.submissions
-        || r.defense.iter().any(|d| !d.divergences.is_empty())
+        || r.defense.iter().any(|d| !d.report.divergences.is_empty())
 }
 
 /// Drive one issuance mode over `quotes` requests at fixed PCR state.
@@ -209,21 +201,57 @@ pub fn run(
     {
         let label = if attack { format!("a1-att-{n}") } else { format!("a1-clean-{n}") };
         let scenario = if attack { cfg.clone() } else { cfg.attack_free() };
-        let rep = run_attest_chaos(label.as_bytes(), &scenario).expect("attest chaos");
-        defense.push(DefenseRow {
-            seed: label,
-            attack,
-            injected_replays: rep.injected_replays,
-            replays_refused: rep.replays_refused,
-            injected_stale: rep.injected_stale,
-            stale_refused: rep.stale_refused,
-            storm_throttled: rep.storm_throttled,
-            critical: rep.sentinel_critical,
-            divergences: rep.divergences,
-        });
+        let report = run_attest_chaos(label.as_bytes(), &scenario).expect("attest chaos");
+        defense.push(DefenseRow { seed: label, attack, report });
     }
 
     A1Report { issue: vec![per_request, cached], speedup, verify, defense }
+}
+
+/// Artifact fields (`repro a1 --json`): both issuance modes and the
+/// speedup, the verification farm, and every defense scenario.
+pub fn json(r: &A1Report) -> String {
+    let issue = json_list(&r.issue, |x| {
+        format!(
+            "{{\"mode\":{},\"quotes\":{},\"signing_passes\":{},\"absorbed\":{},\
+             \"wall_ns\":{},\"qps\":{:.1}}}",
+            json_str(x.mode),
+            x.quotes,
+            x.signing_passes,
+            x.absorbed,
+            x.wall_ns,
+            x.qps
+        )
+    });
+    let defense = json_list(&r.defense, |d| {
+        format!(
+            "{{\"seed\":{},\"attack\":{},\"replays_refused\":{},\"injected_replays\":{},\
+             \"stale_refused\":{},\"injected_stale\":{},\"storm_throttled\":{},\
+             \"critical\":{},\"divergences\":{}}}",
+            json_str(&d.seed),
+            d.attack,
+            d.report.replays_refused,
+            d.report.injected_replays,
+            d.report.stale_refused,
+            d.report.injected_stale,
+            d.report.storm_throttled,
+            d.report.sentinel_critical,
+            d.report.divergences.len()
+        )
+    });
+    let v = &r.verify;
+    format!(
+        "\"issue\":{issue},\"cache_speedup\":{:.2},\
+         \"verify\":{{\"verifiers\":{},\"submissions\":{},\"accepted\":{},\
+         \"p50_ns\":{},\"p99_ns\":{},\"vps\":{:.1}}},\"defense\":{defense}",
+        r.speedup,
+        v.verifiers,
+        v.submissions,
+        v.accepted,
+        v.p50_ns,
+        v.p99_ns,
+        v.vps,
+    )
 }
 
 /// Render the tables.
@@ -264,25 +292,26 @@ pub fn render(r: &A1Report) -> String {
         "defense seed", "attack", "replays", "stale", "throttle", "critical", "divergences"
     ));
     for d in &r.defense {
+        let a = &d.report;
         out.push_str(&format!(
             "  {:<14} {:>7} {:>5}/{:<3} {:>5}/{:<3} {:>9} {:>9} {:>11}\n",
             d.seed,
             if d.attack { "yes" } else { "no" },
-            d.replays_refused,
-            d.injected_replays,
-            d.stale_refused,
-            d.injected_stale,
+            a.replays_refused,
+            a.injected_replays,
+            a.stale_refused,
+            a.injected_stale,
             if !d.attack {
                 "-"
-            } else if d.storm_throttled {
+            } else if a.storm_throttled {
                 "yes"
             } else {
                 "NO"
             },
-            d.critical,
-            d.divergences.len(),
+            a.sentinel_critical,
+            a.divergences.len(),
         ));
-        for line in &d.divergences {
+        for line in &a.divergences {
             out.push_str(&format!("      {line}\n"));
         }
     }
@@ -310,15 +339,15 @@ mod tests {
         assert_eq!(r.verify.accepted, r.verify.submissions, "honest farm submission refused");
         assert_eq!(r.defense.len(), 2);
         for d in &r.defense {
-            assert!(d.divergences.is_empty(), "{}: {:?}", d.seed, d.divergences);
+            assert!(d.report.divergences.is_empty(), "{}: {:?}", d.seed, d.report.divergences);
         }
-        let attack = &r.defense[0];
-        assert!(attack.attack && attack.storm_throttled);
-        assert_eq!(attack.replays_refused, attack.injected_replays);
-        assert_eq!(attack.stale_refused, attack.injected_stale);
+        let (attack, report) = (&r.defense[0], &r.defense[0].report);
+        assert!(attack.attack && report.storm_throttled);
+        assert_eq!(report.replays_refused, report.injected_replays);
+        assert_eq!(report.stale_refused, report.injected_stale);
         let clean = &r.defense[1];
         assert!(!clean.attack);
-        assert_eq!(clean.critical, 0, "false positive on the attack-free sweep");
+        assert_eq!(clean.report.sentinel_critical, 0, "false positive on the attack-free sweep");
         assert!(!gate_failed(&r));
         assert!(render(&r).contains("gate: PASS"));
     }

@@ -25,6 +25,8 @@
 
 use tpm_crypto::{AesCtr, BigUint, Drbg, RsaPrivateKey};
 
+use crate::median;
+
 /// Required optimized-vs-schoolbook RSA private-op speedup. The
 /// measured value sits far above this (CRT alone is ~4x; Montgomery +
 /// window over mul-then-divide is another order of magnitude); the gate
@@ -56,11 +58,6 @@ pub struct C1Report {
     pub sha256_mbps: f64,
     /// SHA-256 of a 40-byte message (the DRBG block shape), ns.
     pub sha256_small_ns: f64,
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
 }
 
 /// Time `f` (which performs `ops` operations) over `passes` passes and
@@ -153,6 +150,28 @@ pub fn gate_failed(r: &C1Report) -> bool {
     r.rsa_speedup < MIN_RSA_SPEEDUP
         || r.rsa_priv_us > MAX_RSA_PRIV_US
         || r.aes_ctr_mbps < MIN_AES_CTR_MBPS
+}
+
+/// Artifact fields (`repro c1 --json`): every measurement plus the
+/// gate thresholds.
+pub fn json(r: &C1Report) -> String {
+    format!(
+        "\"rsa_priv_us\":{:.2},\"rsa_schoolbook_us\":{:.2},\"rsa_speedup\":{:.2},\
+         \"rsa_pub_us\":{:.2},\"aes_ctr_mbps\":{:.1},\"aes_ctr_scalar_mbps\":{:.1},\
+         \"sha256_mbps\":{:.1},\"sha256_small_ns\":{:.0},\"min_rsa_speedup\":{:.1},\
+         \"max_rsa_priv_us\":{:.0},\"min_aes_ctr_mbps\":{:.0}",
+        r.rsa_priv_us,
+        r.rsa_schoolbook_us,
+        r.rsa_speedup,
+        r.rsa_pub_us,
+        r.aes_ctr_mbps,
+        r.aes_ctr_scalar_mbps,
+        r.sha256_mbps,
+        r.sha256_small_ns,
+        MIN_RSA_SPEEDUP,
+        MAX_RSA_PRIV_US,
+        MIN_AES_CTR_MBPS,
+    )
 }
 
 /// Render the table.

@@ -24,6 +24,13 @@
 //! The sweep sizes (32 + 32 + 1 = 65 scenarios at full size) match the
 //! chaos CI sweep, so "zero false positives" is claimed over the same
 //! corpus the determinism gate replays byte-for-byte.
+//!
+//! Alongside, ungated: the engine's wall cost per stream event (flight
+//! recorder plus every detector) on a synthetic healthy-host mix — the
+//! price a deployment pays per span or audit record it ships to the
+//! detection plane.
+
+use std::time::Instant;
 
 use attacks::{dump_instance_state, migration_window_dump};
 use vtpm::MirrorMode;
@@ -34,7 +41,10 @@ use vtpm_harness::{
     MigrationChaosConfig,
 };
 use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
+use vtpm_telemetry::{json_str, Outcome, SpanRecord};
 use workload::generate_trace;
+
+use crate::{json_list, median};
 
 /// One attack-free scenario of the sweep.
 #[derive(Debug, Clone)]
@@ -74,6 +84,10 @@ pub struct D1Report {
     pub clean: Vec<CleanRow>,
     /// Scripted injections.
     pub attacks: Vec<AttackRow>,
+    /// Wall ns per stream event through the full engine (median pass).
+    pub sentinel_ns_per_event: f64,
+    /// Events per throughput pass.
+    pub throughput_events: usize,
 }
 
 /// Total critical alerts across the attack-free sweep (the FP count).
@@ -93,8 +107,15 @@ pub fn gate_failed(r: &D1Report) -> bool {
 }
 
 /// Run the sweep: `mirror_seeds` + `migration_seeds` attack-free chaos
-/// scenarios plus the crash matrix, then the scripted injections.
-pub fn run(mirror_seeds: usize, migration_seeds: usize, events: usize, faults: usize) -> D1Report {
+/// scenarios plus the crash matrix, then the scripted injections, then
+/// the engine throughput over `stream_events` synthetic events.
+pub fn run(
+    mirror_seeds: usize,
+    migration_seeds: usize,
+    events: usize,
+    faults: usize,
+    stream_events: usize,
+) -> D1Report {
     let mut clean = Vec::new();
     for s in 0..mirror_seeds {
         let label = format!("d1-{s}");
@@ -133,25 +154,93 @@ pub fn run(mirror_seeds: usize, migration_seeds: usize, events: usize, faults: u
         });
     }
 
-    D1Report { clean, attacks: vec![inject_a1(), inject_a7(), inject_replay_storm()] }
+    D1Report {
+        clean,
+        attacks: vec![inject_a1(), inject_a7(), inject_replay_storm()],
+        sentinel_ns_per_event: ns_per_event(stream_events),
+        throughput_events: stream_events,
+    }
 }
 
-/// Feed `events` one by one; stop at the first critical alert. Returns
-/// (events fed until detection, firing detector, firing timestamp).
-fn feed_until_critical(
+/// A healthy host's exhaust: mostly allowed spans, a sprinkle of
+/// denials spread across domains (below the EWMA threshold), and
+/// periodic gauges.
+fn synthetic_stream(n: usize) -> Vec<StreamEvent> {
+    (0..n as u64)
+        .map(|i| {
+            if i % 50 == 49 {
+                return StreamEvent::Gauge {
+                    host: 0,
+                    at_ns: i * 1_000,
+                    name: "mirror_scrub_failures",
+                    value: 0,
+                };
+            }
+            StreamEvent::Span {
+                host: 0,
+                record: SpanRecord {
+                    request_id: i + 1,
+                    domain: 1 + (i % 7) as u32,
+                    ordinal: 0x14,
+                    ingress_ns: i * 1_000,
+                    end_ns: i * 1_000 + 800,
+                    outcome: if i % 10 == 3 { Outcome::Denied(2) } else { Outcome::Ok },
+                    ..SpanRecord::default()
+                },
+            }
+        })
+        .collect()
+}
+
+/// Timed passes over the synthetic stream.
+const THROUGHPUT_PASSES: usize = 5;
+
+/// Wall ns per event through a fresh engine, median of the passes.
+fn ns_per_event(events: usize) -> f64 {
+    let stream = synthetic_stream(events);
+    let mut samples: Vec<f64> = (0..THROUGHPUT_PASSES)
+        .map(|_| {
+            let mut s = Sentinel::new(SentinelConfig::default());
+            let t0 = Instant::now();
+            for ev in &stream {
+                std::hint::black_box(s.observe(ev.clone()));
+            }
+            t0.elapsed().as_nanos() as f64 / events.max(1) as f64
+        })
+        .collect();
+    median(&mut samples)
+}
+
+/// Feed `events` one by one and stop at the first critical alert; the
+/// row records which detector fired, its latency after `start_ns`, and
+/// how many events it took.
+fn detect(
+    name: &'static str,
+    blocked: bool,
     sentinel: &mut Sentinel,
     events: impl IntoIterator<Item = StreamEvent>,
-) -> (usize, Option<(&'static str, u64)>) {
-    let mut fed = 0usize;
+    start_ns: u64,
+) -> AttackRow {
+    let mut row = AttackRow {
+        name,
+        blocked,
+        detected: false,
+        detector: "-",
+        latency_ns: 0,
+        events_to_detect: 0,
+    };
     for ev in events {
-        fed += 1;
+        row.events_to_detect += 1;
         if sentinel.observe(ev) > 0 {
             if let Some(a) = sentinel.alerts().last() {
-                return (fed, Some((a.detector, a.at_ns)));
+                row.detected = true;
+                row.detector = a.detector;
+                row.latency_ns = a.at_ns.saturating_sub(start_ns);
+                break;
             }
         }
     }
-    (fed, None)
+    row
 }
 
 /// **A1 injection** — Dom0 memory-dump state theft against the improved
@@ -182,15 +271,7 @@ fn inject_a1() -> AttackRow {
         .map(|e| audit_event(0, e))
         .chain(hv.dump_events().iter().map(|d| dump_event(0, d)))
         .collect::<Vec<_>>();
-    let (fed, hit) = feed_until_critical(&mut sentinel, stream);
-    AttackRow {
-        name: "A1 dump-state",
-        blocked: !outcome.succeeded,
-        detected: hit.is_some(),
-        detector: hit.map(|(d, _)| d).unwrap_or("-"),
-        latency_ns: hit.map(|(_, at)| at.saturating_sub(start_ns)).unwrap_or(0),
-        events_to_detect: fed,
-    }
+    detect("A1 dump-state", !outcome.succeeded, &mut sentinel, stream, start_ns)
 }
 
 /// **A7 injection** — migration-window dump on a sealed three-host
@@ -234,15 +315,7 @@ fn inject_a7() -> AttackRow {
                 .collect::<Vec<_>>()
         })
         .collect::<Vec<_>>();
-    let (fed, hit) = feed_until_critical(&mut sentinel, stream);
-    AttackRow {
-        name: "A7 migration-window",
-        blocked: !outcome.succeeded,
-        detected: hit.is_some(),
-        detector: hit.map(|(d, _)| d).unwrap_or("-"),
-        latency_ns: hit.map(|(_, at)| at.saturating_sub(start_ns)).unwrap_or(0),
-        events_to_detect: fed,
-    }
+    detect("A7 migration-window", !outcome.succeeded, &mut sentinel, stream, start_ns)
 }
 
 /// **Replay-storm injection** — a captured `Transfer` frame hammered at
@@ -299,16 +372,34 @@ fn inject_replay_storm() -> AttackRow {
                 .collect::<Vec<_>>()
         })
         .collect::<Vec<_>>();
-    let (fed, hit) = feed_until_critical(&mut sentinel, stream);
-    AttackRow {
-        name: "replay-storm",
-        // "Blocked" here = the storm never disturbed placement.
-        blocked: committed && cluster.runnable_hosts(vm) == vec![1],
-        detected: hit.is_some(),
-        detector: hit.map(|(d, _)| d).unwrap_or("-"),
-        latency_ns: hit.map(|(_, at)| at.saturating_sub(start_ns)).unwrap_or(0),
-        events_to_detect: fed,
-    }
+    // "Blocked" here = the storm never disturbed placement.
+    let blocked = committed && cluster.runnable_hosts(vm) == vec![1];
+    detect("replay-storm", blocked, &mut sentinel, stream, start_ns)
+}
+
+/// Artifact fields (`repro d1 --json`): every injection, the clean
+/// sweep's size and false-positive count, and the engine throughput.
+pub fn json(r: &D1Report) -> String {
+    let detection = json_list(&r.attacks, |a| {
+        format!(
+            "{{\"name\":{},\"blocked\":{},\"detected\":{},\"detector\":{},\
+             \"latency_ns\":{},\"events_to_detect\":{}}}",
+            json_str(a.name),
+            a.blocked,
+            a.detected,
+            json_str(a.detector),
+            a.latency_ns,
+            a.events_to_detect
+        )
+    });
+    format!(
+        "\"detection\":{detection},\"clean_scenarios\":{},\"false_positives\":{},\
+         \"sentinel_ns_per_event\":{:.1},\"throughput_events\":{}",
+        r.clean.len(),
+        false_positives(r),
+        r.sentinel_ns_per_event,
+        r.throughput_events,
+    )
 }
 
 /// Render the tables.
@@ -354,6 +445,10 @@ pub fn render(r: &D1Report) -> String {
         r.attacks.len() - undetected(r),
         r.attacks.len(),
     ));
+    out.push_str(&format!(
+        "engine: {:.1} ns per stream event ({} synthetic events, median of {} passes)\n",
+        r.sentinel_ns_per_event, r.throughput_events, THROUGHPUT_PASSES,
+    ));
     out
 }
 
@@ -363,7 +458,7 @@ mod tests {
 
     #[test]
     fn gate_holds_at_test_size() {
-        let r = run(2, 2, 30, 3);
+        let r = run(2, 2, 30, 3, 2_000);
         assert_eq!(r.clean.len(), 5);
         assert_eq!(false_positives(&r), 0, "false positive: {:#?}", r.clean);
         assert_eq!(undetected(&r), 0, "missed injection: {:#?}", r.attacks);
@@ -378,5 +473,6 @@ mod tests {
         assert!(!gate_failed(&r));
         let table = render(&r);
         assert!(table.contains("3/3 injections detected"));
+        assert!(r.sentinel_ns_per_event > 0.0);
     }
 }

@@ -11,6 +11,8 @@ use std::sync::Arc;
 use vtpm::{Envelope, ManagerConfig, ManagerServer, VtpmManager};
 use xen_sim::{DomainId, Hypervisor};
 
+use crate::{pcr_read_cmd, STARTUP};
+
 /// One point of the figure.
 #[derive(Debug, Clone)]
 pub struct F4Point {
@@ -25,18 +27,13 @@ fn build_requests(instances: &[u32], per_instance: usize) -> Vec<(DomainId, Vec<
     for (gi, &inst) in instances.iter().enumerate() {
         for s in 0..per_instance {
             // TPM_PcrRead(0): cheap and stateless-ish.
-            let mut cmd = Vec::with_capacity(14);
-            cmd.extend_from_slice(&0x00C1u16.to_be_bytes());
-            cmd.extend_from_slice(&14u32.to_be_bytes());
-            cmd.extend_from_slice(&tpm::ordinal::PCR_READ.to_be_bytes());
-            cmd.extend_from_slice(&0u32.to_be_bytes());
             let env = Envelope {
                 domain: gi as u32 + 1,
                 instance: inst,
                 seq: s as u64 + 2,
                 locality: 0,
                 tag: None,
-                command: cmd,
+                command: pcr_read_cmd(0),
             };
             out.push((DomainId(gi as u32 + 1), env.encode()));
         }
@@ -69,7 +66,7 @@ pub fn run(worker_counts: &[usize], instances: usize, per_instance: usize) -> Ve
                     seq: 1,
                     locality: 0,
                     tag: None,
-                    command: vec![0x00, 0xC1, 0, 0, 0, 12, 0, 0, 0, 0x99, 0, 1],
+                    command: STARTUP.to_vec(),
                 };
                 mgr.handle(DomainId(gi as u32 + 1), &startup.encode());
             }

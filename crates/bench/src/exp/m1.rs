@@ -25,6 +25,8 @@ use vtpm::MirrorMode;
 use vtpm_cluster::{Cluster, ClusterConfig, MigrateOutcome};
 use vtpm_telemetry::MigrationOutcome;
 
+use crate::json_list;
+
 /// Sealing may add at most this much guest-visible blackout over the
 /// clear baseline, at every state size (`repro m1` exits nonzero past
 /// it). Covers the RSA-OAEP unwrap (2.5 ms modelled after the R-C1
@@ -126,6 +128,35 @@ pub fn run(nv_kib: &[usize], reps: usize) -> Vec<M1Point> {
 /// gate compares against [`BUDGET_PREMIUM_US`].
 pub fn max_premium_us(points: &[M1Point]) -> f64 {
     points.iter().map(M1Point::premium_us).fold(0.0, f64::max)
+}
+
+/// The CI gate: the worst sealing premium exceeds the budget.
+pub fn gate_failed(points: &[M1Point]) -> bool {
+    max_premium_us(points) > BUDGET_PREMIUM_US
+}
+
+/// Artifact fields (`repro m1 --json`): one object per state size, the
+/// gated worst premium, and the budget.
+pub fn json(points: &[M1Point]) -> String {
+    let rows = json_list(points, |p| {
+        format!(
+            "{{\"state_bytes\":{},\"clear_pkg_bytes\":{},\"sealed_pkg_bytes\":{},\
+             \"clear_downtime_us\":{:.1},\"sealed_downtime_us\":{:.1},\
+             \"clear_total_us\":{:.1},\"sealed_total_us\":{:.1}}}",
+            p.state_bytes,
+            p.clear_pkg_bytes,
+            p.sealed_pkg_bytes,
+            p.clear_downtime_us,
+            p.sealed_downtime_us,
+            p.clear_total_us,
+            p.sealed_total_us
+        )
+    });
+    format!(
+        "\"points\":{rows},\"max_premium_us\":{:.1},\"budget_premium_us\":{:.0}",
+        max_premium_us(points),
+        BUDGET_PREMIUM_US,
+    )
 }
 
 /// Render the table.

@@ -39,9 +39,14 @@
 //! column now *gates* ([`BUDGET_FALSE_SUSPECTS`] per seed):
 //! regressing either fix reopens the gap and fails the sweep.
 
-use vtpm_fleet::FleetConfig;
+use std::time::Instant;
+
+use vtpm_fleet::{FailureDetectorConfig, FleetConfig, PhiAccrualDetector};
 use vtpm_harness::{run_fleet_chaos, FleetChaosConfig, FleetChaosReport};
 use vtpm_sentinel::SentinelConfig;
+use vtpm_telemetry::json_str;
+
+use crate::{fleet_rig, json_list, median};
 
 /// Cluster-wide p99 quiesce→commit blackout budget (virtual ns). At
 /// CI scale (8 hosts) the blackout is one sealed transfer, ~14ms. At
@@ -60,39 +65,30 @@ pub const BUDGET_P99_NS: u64 = 300_000_000;
 /// detector's re-registered expectation).
 pub const BUDGET_FALSE_SUSPECTS: u64 = 2;
 
-/// One seed of the sweep (the two replays compared equal).
+/// One fleet-chaos seed: the first run's report, and whether the replay
+/// compared equal to it (R-O2's clean sweep uses the same rows).
 #[derive(Debug, Clone, PartialEq)]
 pub struct M2Row {
     /// Seed label.
     pub seed: String,
-    /// Drives that committed.
-    pub committed: u64,
-    /// Aborted + abandoned + stale-rejected drives.
-    pub failed: u64,
-    /// Submissions that raced another in-flight drive of the same VM.
-    pub conflicts: u64,
-    /// Deliberate double-drives injected.
-    pub conflict_pairs: u64,
-    /// Injected conflicts with more than one committed winner (must be 0).
-    pub multi_winner: u64,
-    /// Host crashes / revivals / joins injected.
-    pub crashes: u64,
-    /// Suspicions raised by the detector.
-    pub suspects: u64,
-    /// Suspicions against live hosts.
-    pub false_suspects: u64,
-    /// Churn-storm pause latches applied.
-    pub storm_pauses: u64,
-    /// p99 quiesce→commit blackout (virtual ns).
-    pub downtime_p99_ns: u64,
-    /// Max of the same histogram.
-    pub downtime_max_ns: u64,
-    /// lost + duplicated + orphaned + unsettled (must be 0).
-    pub accounting_violations: u64,
-    /// Oracle/invariant divergences (must be empty).
-    pub divergences: Vec<String>,
+    /// The first run's report.
+    pub report: FleetChaosReport,
     /// Replayed byte-identically.
     pub replay_ok: bool,
+}
+
+impl M2Row {
+    /// Aborted + abandoned + stale-rejected drives.
+    pub fn failed(&self) -> u64 {
+        let a = &self.report;
+        a.aborted + a.abandoned + a.rejected_stale
+    }
+
+    /// lost + duplicated + orphaned + unsettled (must be 0).
+    pub fn accounting_violations(&self) -> u64 {
+        let a = &self.report;
+        a.lost + a.duplicated + a.orphaned + a.unsettled
+    }
 }
 
 /// The sweep result.
@@ -110,7 +106,7 @@ pub struct M2Report {
 
 /// Worst per-seed p99 blackout across the sweep.
 pub fn worst_p99_ns(r: &M2Report) -> u64 {
-    r.rows.iter().map(|x| x.downtime_p99_ns).max().unwrap_or(0)
+    r.rows.iter().map(|x| x.report.downtime_p99_ns).max().unwrap_or(0)
 }
 
 /// The CI gate: exactly-once accounting, single-winner conflicts, no
@@ -118,11 +114,11 @@ pub fn worst_p99_ns(r: &M2Report) -> u64 {
 /// false-suspicion budget.
 pub fn gate_failed(r: &M2Report) -> bool {
     r.rows.iter().any(|x| {
-        x.accounting_violations > 0
-            || x.multi_winner > 0
-            || !x.divergences.is_empty()
+        x.accounting_violations() > 0
+            || x.report.multi_winner_conflicts > 0
+            || !x.report.divergences.is_empty()
             || !x.replay_ok
-            || x.false_suspects > BUDGET_FALSE_SUSPECTS
+            || x.report.false_suspects > BUDGET_FALSE_SUSPECTS
     }) || worst_p99_ns(r) > BUDGET_P99_NS
 }
 
@@ -155,40 +151,153 @@ fn scale_config(hosts: usize, vms: usize, rounds: usize) -> FleetChaosConfig {
     }
 }
 
-fn row(seed: String, a: &FleetChaosReport, replay_ok: bool) -> M2Row {
-    M2Row {
-        seed,
-        committed: a.committed,
-        failed: a.aborted + a.abandoned + a.rejected_stale,
-        conflicts: a.conflicts,
-        conflict_pairs: a.conflict_pairs,
-        multi_winner: a.multi_winner_conflicts,
-        crashes: a.crashes,
-        suspects: a.suspects_raised,
-        false_suspects: a.false_suspects,
-        storm_pauses: a.storm_pauses,
-        downtime_p99_ns: a.downtime_p99_ns,
-        downtime_max_ns: a.downtime_max_ns,
-        accounting_violations: a.lost + a.duplicated + a.orphaned + a.unsettled,
-        divergences: a.divergences.clone(),
-        replay_ok,
-    }
+/// Run fleet-chaos seed `label` twice under `cfg`.
+pub(crate) fn replayed(label: String, cfg: &FleetChaosConfig) -> M2Row {
+    let report = run_fleet_chaos(label.as_bytes(), cfg).expect("fleet chaos run");
+    let replay = run_fleet_chaos(label.as_bytes(), cfg).expect("fleet chaos replay");
+    M2Row { seed: label, replay_ok: report == replay, report }
 }
 
 /// Run the sweep: `seeds` independent churn scenarios at (`hosts`,
 /// `vms`) scale, `rounds` rounds each, every seed replayed twice.
 pub fn run(hosts: usize, vms: usize, rounds: usize, seeds: usize) -> M2Report {
     let cfg = scale_config(hosts, vms, rounds);
-    let rows = (0..seeds)
-        .map(|s| {
-            let label = format!("m2-{hosts}x{vms}-{s}");
-            let a = run_fleet_chaos(label.as_bytes(), &cfg).expect("fleet chaos run");
-            let b = run_fleet_chaos(label.as_bytes(), &cfg).expect("fleet chaos replay");
-            let replay_ok = a == b;
-            row(label, &a, replay_ok)
-        })
-        .collect();
+    let rows = (0..seeds).map(|s| replayed(format!("m2-{hosts}x{vms}-{s}"), &cfg)).collect();
     M2Report { hosts, vms, rounds, rows }
+}
+
+/// Wall-clock cost of the control plane's own loops, measured beside
+/// the sweep. Kept out of [`M2Report`] so the report stays a pure
+/// function of its seeds (the replay check compares whole reports).
+#[derive(Debug, Clone)]
+pub struct ControlCost {
+    /// Hosts the failure detector tracks.
+    pub detector_hosts: usize,
+    /// Wall ns per heartbeat through the phi-accrual estimator.
+    pub heartbeat_ingest_ns: f64,
+    /// Wall ns per phi query.
+    pub phi_query_ns: f64,
+    /// Hosts in the controller-tick rig.
+    pub tick_hosts: usize,
+    /// VMs in the controller-tick rig.
+    pub tick_vms: usize,
+    /// Wall ns per `Fleet::tick`.
+    pub tick_ns: f64,
+}
+
+/// Hosts the detector micro-measurement tracks (fleet width).
+const DETECTOR_HOSTS: usize = 100;
+
+/// Measure the control plane's loops, medians of `reps` passes:
+/// `beats` heartbeats per host through the phi-accrual estimator (plus
+/// one phi query per host), and `ticks` controller ticks over a live
+/// (`tick_hosts`, `tick_vms`) cluster whose skewed initial placement
+/// keeps the rebalancer and the driver pool busy throughout.
+pub fn control_cost(
+    beats: usize,
+    tick_hosts: usize,
+    tick_vms: usize,
+    ticks: usize,
+    reps: usize,
+) -> ControlCost {
+    let hosts = DETECTOR_HOSTS;
+    let mut ingest = Vec::with_capacity(reps);
+    let mut query = Vec::with_capacity(reps);
+    let mut tick = Vec::with_capacity(reps);
+    for rep in 0..reps {
+        let mut d = PhiAccrualDetector::new(FailureDetectorConfig::default());
+        for h in 0..hosts {
+            d.register(h, 0);
+        }
+        let period = 1_000_000u64; // 1ms heartbeat period, slight per-host skew
+        let t0 = Instant::now();
+        for b in 0..beats {
+            for h in 0..hosts {
+                d.heartbeat(h, b as u64 * period + h as u64 * 37);
+            }
+        }
+        ingest.push(t0.elapsed().as_nanos() as f64 / (beats * hosts) as f64);
+        let now = beats as u64 * period;
+        let t0 = Instant::now();
+        for h in 0..hosts {
+            std::hint::black_box(d.phi(h, now));
+        }
+        query.push(t0.elapsed().as_nanos() as f64 / hosts as f64);
+
+        let seed = format!("m2-tick-{rep}");
+        let (mut c, mut fleet) = fleet_rig(seed.as_bytes(), tick_hosts, tick_vms);
+        let t0 = Instant::now();
+        for _ in 0..ticks {
+            fleet.tick(&mut c);
+        }
+        tick.push(t0.elapsed().as_nanos() as f64 / ticks as f64);
+    }
+    ControlCost {
+        detector_hosts: hosts,
+        heartbeat_ingest_ns: median(&mut ingest),
+        phi_query_ns: median(&mut query),
+        tick_hosts,
+        tick_vms,
+        tick_ns: median(&mut tick),
+    }
+}
+
+/// Artifact fields (`repro m2 --json`): scale, the per-seed sweep, the
+/// gated worst p99 against its budget, and the control-plane costs.
+pub fn json(r: &M2Report, c: &ControlCost) -> String {
+    let sweep = json_list(&r.rows, |x| {
+        let a = &x.report;
+        format!(
+            "{{\"seed\":{},\"committed\":{},\"failed\":{},\"conflicts\":{},\
+             \"conflict_pairs\":{},\"multi_winner\":{},\"crashes\":{},\"suspects\":{},\
+             \"false_suspects\":{},\"downtime_p99_ns\":{},\"downtime_max_ns\":{},\
+             \"accounting_violations\":{},\"replay_ok\":{}}}",
+            json_str(&x.seed),
+            a.committed,
+            x.failed(),
+            a.conflicts,
+            a.conflict_pairs,
+            a.multi_winner_conflicts,
+            a.crashes,
+            a.suspects_raised,
+            a.false_suspects,
+            a.downtime_p99_ns,
+            a.downtime_max_ns,
+            x.accounting_violations(),
+            x.replay_ok,
+        )
+    });
+    format!(
+        "\"hosts\":{},\"vms\":{},\"rounds\":{},\"sweep\":{sweep},\
+         \"worst_p99_downtime_ns\":{},\"budget_p99_ns\":{},\
+         \"detector_hosts\":{},\"heartbeat_ingest_ns\":{:.1},\"phi_query_ns\":{:.1},\
+         \"tick_hosts\":{},\"tick_vms\":{},\"tick_ns\":{:.0}",
+        r.hosts,
+        r.vms,
+        r.rounds,
+        worst_p99_ns(r),
+        BUDGET_P99_NS,
+        c.detector_hosts,
+        c.heartbeat_ingest_ns,
+        c.phi_query_ns,
+        c.tick_hosts,
+        c.tick_vms,
+        c.tick_ns,
+    )
+}
+
+/// One line for the control-plane costs, printed under the table.
+pub fn render_cost(c: &ControlCost) -> String {
+    format!(
+        "control plane: {:.1}ns per heartbeat ingest, {:.1}ns per phi query ({} hosts); \
+         {:.1}us per controller tick ({} hosts / {} VMs)\n",
+        c.heartbeat_ingest_ns,
+        c.phi_query_ns,
+        c.detector_hosts,
+        c.tick_ns / 1e3,
+        c.tick_hosts,
+        c.tick_vms,
+    )
 }
 
 /// Render the table.
@@ -201,25 +310,26 @@ pub fn render(r: &M2Report) -> String {
         r.hosts, r.vms, r.rounds,
     ));
     for x in &r.rows {
+        let a = &x.report;
         out.push_str(&format!(
             "{:<16} {:>9} {:>7} {:>10}({:<4}) {:>9} {:>8} {:>12}({:<4}) {:>6} {:>13.3} {:>13.3} \
              {:>10} {:>7}\n",
             x.seed,
-            x.committed,
-            x.failed,
-            x.conflicts,
-            x.conflict_pairs,
-            x.multi_winner,
-            x.crashes,
-            x.suspects,
-            x.false_suspects,
-            x.storm_pauses,
-            x.downtime_p99_ns as f64 / 1e6,
-            x.downtime_max_ns as f64 / 1e6,
-            x.accounting_violations,
+            a.committed,
+            x.failed(),
+            a.conflicts,
+            a.conflict_pairs,
+            a.multi_winner_conflicts,
+            a.crashes,
+            a.suspects_raised,
+            a.false_suspects,
+            a.storm_pauses,
+            a.downtime_p99_ns as f64 / 1e6,
+            a.downtime_max_ns as f64 / 1e6,
+            x.accounting_violations(),
             if x.replay_ok { "ok" } else { "MISMATCH" },
         ));
-        for d in &x.divergences {
+        for d in &a.divergences {
             out.push_str(&format!("    divergence: {d}\n"));
         }
     }
@@ -243,12 +353,13 @@ mod tests {
         assert_eq!(r.rows.len(), 2);
         for x in &r.rows {
             assert!(x.replay_ok, "{}: replay diverged", x.seed);
-            assert_eq!(x.accounting_violations, 0, "{}: {:?}", x.seed, x.divergences);
-            assert_eq!(x.multi_winner, 0);
-            assert!(x.divergences.is_empty(), "{}: {:?}", x.seed, x.divergences);
+            let a = &x.report;
+            assert_eq!(x.accounting_violations(), 0, "{}: {:?}", x.seed, a.divergences);
+            assert_eq!(a.multi_winner_conflicts, 0);
+            assert!(a.divergences.is_empty(), "{}: {:?}", x.seed, a.divergences);
             // Churn must actually have happened for the row to mean
             // anything.
-            assert!(x.committed > 0);
+            assert!(a.committed > 0);
         }
         assert!(!gate_failed(&r));
         let table = render(&r);

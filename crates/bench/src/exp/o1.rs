@@ -36,7 +36,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use vtpm::{Envelope, ManagerConfig, MirrorMode, VtpmManager};
+use vtpm_telemetry::json_str;
 use xen_sim::{DomainId, Hypervisor};
+
+use crate::{extend_cmd, json_list, median, pcr_read_cmd, STARTUP};
 
 /// Hard overhead budget, percent of the modelled deployment latency.
 pub const BUDGET_PCT: f64 = 3.0;
@@ -82,13 +85,9 @@ pub fn max_overhead_pct(rows: &[O1Row]) -> f64 {
     rows.iter().map(|r| r.deploy_overhead_pct()).fold(f64::NEG_INFINITY, f64::max)
 }
 
-fn command(ordinal: u32, body: &[u8]) -> Vec<u8> {
-    let mut cmd = Vec::new();
-    cmd.extend_from_slice(&0x00C1u16.to_be_bytes());
-    cmd.extend_from_slice(&((10 + body.len()) as u32).to_be_bytes());
-    cmd.extend_from_slice(&ordinal.to_be_bytes());
-    cmd.extend_from_slice(body);
-    cmd
+/// The CI gate: the worst class's deployment overhead exceeds the budget.
+pub fn gate_failed(rows: &[O1Row]) -> bool {
+    max_overhead_pct(rows) > BUDGET_PCT
 }
 
 /// A started manager plus one pre-encoded request per command class.
@@ -124,7 +123,7 @@ impl Rig {
             tag: None,
             command,
         };
-        mgr.handle(DomainId(1), &env(command(0x99, &1u16.to_be_bytes()[..])).encode());
+        mgr.handle(DomainId(1), &env(STARTUP.to_vec()).encode());
         let wire = classes.iter().map(|(_, cmd)| env(cmd.clone()).encode()).collect();
         Rig { hv, mgr, wire }
     }
@@ -150,22 +149,12 @@ impl Rig {
     }
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
 /// Run the experiment: `batches` timed batches of `per_batch` commands
 /// per class per configuration, interleaved A/B.
 pub fn run(batches: usize, per_batch: usize) -> Vec<O1Row> {
     let classes: Vec<(&'static str, Vec<u8>)> = vec![
-        ("pcr_read", command(tpm::ordinal::PCR_READ, &0u32.to_be_bytes())),
-        ("extend", {
-            let mut body = Vec::new();
-            body.extend_from_slice(&3u32.to_be_bytes());
-            body.extend_from_slice(&[0xA5u8; 20]);
-            command(tpm::ordinal::EXTEND, &body)
-        }),
+        ("pcr_read", pcr_read_cmd(0)),
+        ("extend", extend_cmd(3, 0xA5)),
     ];
     let on = Rig::build(true, false, &classes);
     let off = Rig::build(false, false, &classes);
@@ -234,6 +223,30 @@ pub fn render(rows: &[O1Row]) -> String {
         if max <= BUDGET_PCT { "PASS" } else { "FAIL" },
     ));
     out
+}
+
+/// Artifact fields (`repro o1 --json`): per-class rows, the gated
+/// maximum, and the budget.
+pub fn json(rows: &[O1Row]) -> String {
+    let classes = json_list(rows, |r| {
+        format!(
+            "{{\"command\":{},\"disabled_ns\":{:.1},\"enabled_ns\":{:.1},\
+             \"deploy_ns\":{:.0},\"deploy_overhead_pct\":{:.3}}}",
+            json_str(r.command),
+            r.disabled_ns,
+            r.enabled_ns,
+            r.deploy_ns,
+            r.deploy_overhead_pct()
+        )
+    });
+    format!(
+        "\"batches\":{},\"per_batch\":{},\"classes\":{classes},\
+         \"telemetry_max_deploy_overhead_pct\":{:.3},\"budget_pct\":{:.1}",
+        rows.first().map_or(0, |r| r.batches),
+        rows.first().map_or(0, |r| r.per_batch),
+        max_overhead_pct(rows),
+        BUDGET_PCT,
+    )
 }
 
 #[cfg(test)]

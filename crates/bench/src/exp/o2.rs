@@ -39,11 +39,14 @@ use std::time::Instant;
 
 use vtpm_cluster::{Cluster, ClusterConfig};
 use vtpm_fleet::{Fleet, FleetConfig, CONTROLLER_HOST};
-use vtpm_harness::{apply_slo_alerts, run_fleet_chaos, FleetChaosConfig};
+use vtpm_harness::{apply_slo_alerts, FleetChaosConfig};
 use vtpm_observatory::{BurnEvent, Observatory, ObservatoryConfig};
 use vtpm_sentinel::{Alert, Sentinel, SentinelConfig, StreamEvent};
-use vtpm_telemetry::Histogram;
+use vtpm_telemetry::{json_str, Histogram};
 use workload::generate_trace;
+
+use super::m2::{replayed, M2Row};
+use crate::{fleet_rig, json_list, median};
 
 /// Merged-p99 vs exact order statistic bound — the histogram's
 /// relative-error guarantee, which the merge must not widen.
@@ -53,25 +56,6 @@ pub const REL_ERR_BOUND: f64 = 1.0 / 16.0;
 /// percentage of the controller's heartbeat interval (its duty
 /// cycle).
 pub const BUDGET_PCT: f64 = 3.0;
-
-/// One attack-free chaos seed with the observatory in the loop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct O2CleanRow {
-    /// Seed label.
-    pub seed: String,
-    /// Scrape passes the controller ran.
-    pub scrapes: u64,
-    /// SLO burn raises (must be 0 attack-free).
-    pub slo_burns: u64,
-    /// SLO burn clears.
-    pub slo_clears: u64,
-    /// Suspicions raised by the failure detector.
-    pub suspects: u64,
-    /// Suspicions against live hosts.
-    pub false_suspects: u64,
-    /// Replayed byte-identically (observatory transcript included).
-    pub replay_ok: bool,
-}
 
 /// Merged-scrape p99 vs the exact per-span ground truth.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,7 +108,7 @@ pub struct O2Report {
     /// Rounds per seed.
     pub rounds: usize,
     /// One row per attack-free seed.
-    pub clean: Vec<O2CleanRow>,
+    pub clean: Vec<M2Row>,
     /// Aggregation fidelity vs sorted ground truth.
     pub fidelity: O2Fidelity,
     /// The injected-regression loop.
@@ -153,15 +137,16 @@ impl O2Report {
 /// within the histogram bound with exact counts, the full closed loop,
 /// and the self-overhead budget.
 pub fn gate_failed(r: &O2Report) -> bool {
-    r.clean.iter().any(|x| x.slo_burns > 0 || !x.replay_ok)
+    r.clean.iter().any(|x| x.report.slo_burns > 0 || !x.replay_ok)
         || !r.fidelity.count_match
         || r.fidelity.rel_err > REL_ERR_BOUND
         || !r.slo_loop.complete()
         || r.overhead_pct() > BUDGET_PCT
 }
 
-fn clean_config(hosts: usize, vms: usize, rounds: usize) -> FleetChaosConfig {
-    FleetChaosConfig {
+/// Attack-free chaos seeds with the observatory in the loop.
+fn clean_sweep(hosts: usize, vms: usize, rounds: usize, seeds: usize) -> Vec<M2Row> {
+    let cfg = FleetChaosConfig {
         hosts,
         max_hosts: hosts + hosts / 10,
         vms,
@@ -170,44 +155,16 @@ fn clean_config(hosts: usize, vms: usize, rounds: usize) -> FleetChaosConfig {
         events_per_round: 2,
         frames_per_host: 4096,
         ..FleetChaosConfig::default()
-    }
-}
-
-fn clean_sweep(hosts: usize, vms: usize, rounds: usize, seeds: usize) -> Vec<O2CleanRow> {
-    let cfg = clean_config(hosts, vms, rounds);
-    (0..seeds)
-        .map(|s| {
-            let label = format!("o2-{hosts}x{vms}-{s}");
-            let a = run_fleet_chaos(label.as_bytes(), &cfg).expect("fleet chaos run");
-            let b = run_fleet_chaos(label.as_bytes(), &cfg).expect("fleet chaos replay");
-            let replay_ok = a == b;
-            O2CleanRow {
-                seed: label,
-                scrapes: a.scrapes,
-                slo_burns: a.slo_burns,
-                slo_clears: a.slo_clears,
-                suspects: a.suspects_raised,
-                false_suspects: a.false_suspects,
-                replay_ok,
-            }
-        })
-        .collect()
+    };
+    (0..seeds).map(|s| replayed(format!("o2-{hosts}x{vms}-{s}"), &cfg)).collect()
 }
 
 /// Drive real guest traffic over a live cluster, scrape it through the
 /// fleet controller each round, and compare the merged p99 to the exact
 /// order statistic over every span the hosts served.
 fn fidelity(hosts: usize, vms_per_host: usize, rounds: usize, events: usize) -> O2Fidelity {
-    let mut cluster = Cluster::new(
-        b"o2-fidelity",
-        ClusterConfig { hosts, frames_per_host: 4096, ..Default::default() },
-    )
-    .expect("cluster");
     let vms = (hosts * vms_per_host) as u32;
-    for _ in 0..vms {
-        cluster.create_vm().expect("vm");
-    }
-    let mut fleet = Fleet::new(FleetConfig::default(), &cluster);
+    let (mut cluster, mut fleet) = fleet_rig(b"o2-fidelity", hosts, vms as usize);
     let mut obs = Observatory::new(ObservatoryConfig::default());
     for round in 0..rounds as u32 {
         for vm in 0..vms {
@@ -300,26 +257,12 @@ fn closed_loop() -> O2Loop {
     O2Loop { pre_clean, raised, alerted, paused, cleared, resumed: resumed && !fleet.paused() }
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-
 /// Wall vs virtual cost of one scrape+evaluate pass at `hosts` scale,
 /// medians over `reps` passes with fresh traffic between passes so
 /// every scrape carries non-empty deltas.
 fn overhead(hosts: usize, reps: usize) -> (f64, f64) {
-    let mut cluster = Cluster::new(
-        b"o2-overhead",
-        ClusterConfig { hosts, frames_per_host: 4096, ..Default::default() },
-    )
-    .expect("cluster");
     let vms = (hosts * 2) as u32;
-    for _ in 0..vms {
-        cluster.create_vm().expect("vm");
-    }
-    let mut fleet = Fleet::new(FleetConfig::default(), &cluster);
+    let (mut cluster, mut fleet) = fleet_rig(b"o2-overhead", hosts, vms as usize);
     let mut obs = Observatory::new(ObservatoryConfig::default());
     fn traffic(cluster: &mut Cluster, vms: u32, rep: u32) {
         for vm in 0..vms.min(8) {
@@ -371,6 +314,56 @@ pub fn run(hosts: usize, vms: usize, rounds: usize, seeds: usize) -> O2Report {
     }
 }
 
+/// Artifact fields (`repro o2 --json`): the clean sweep, fidelity, the
+/// closed loop, and the self-overhead against its budget.
+pub fn json(r: &O2Report) -> String {
+    let sweep = json_list(&r.clean, |x| {
+        format!(
+            "{{\"seed\":{},\"scrapes\":{},\"slo_burns\":{},\"slo_clears\":{},\
+             \"suspects\":{},\"false_suspects\":{},\"replay_ok\":{}}}",
+            json_str(&x.seed),
+            x.report.scrapes,
+            x.report.slo_burns,
+            x.report.slo_clears,
+            x.report.suspects_raised,
+            x.report.false_suspects,
+            x.replay_ok,
+        )
+    });
+    let f = &r.fidelity;
+    let l = &r.slo_loop;
+    format!(
+        "\"hosts\":{},\"vms\":{},\"rounds\":{},\"sweep\":{sweep},\
+         \"fidelity\":{{\"samples\":{},\"exact_p99_ns\":{},\"fleet_p99_ns\":{},\
+         \"rel_err\":{:.6},\"bound\":{:.6},\"count_match\":{}}},\
+         \"closed_loop\":{{\"pre_clean\":{},\"raised\":{},\"alerted\":{},\"paused\":{},\
+         \"cleared\":{},\"resumed\":{}}},\
+         \"overhead_hosts\":{},\"scrape_wall_ns\":{:.0},\"scrape_virtual_ns\":{:.0},\
+         \"period_ns\":{},\"overhead_pct\":{:.3},\"budget_pct\":{:.1}",
+        r.hosts,
+        r.vms,
+        r.rounds,
+        f.samples,
+        f.exact_p99_ns,
+        f.fleet_p99_ns,
+        f.rel_err,
+        REL_ERR_BOUND,
+        f.count_match,
+        l.pre_clean,
+        l.raised,
+        l.alerted,
+        l.paused,
+        l.cleared,
+        l.resumed,
+        r.overhead_hosts,
+        r.scrape_wall_ns,
+        r.scrape_virtual_ns,
+        r.period_ns,
+        r.overhead_pct(),
+        BUDGET_PCT,
+    )
+}
+
 /// Render the table, ending with the PASS/FAIL verdict line the CI
 /// gate greps for.
 pub fn render(r: &O2Report) -> String {
@@ -384,11 +377,11 @@ pub fn render(r: &O2Report) -> String {
         out.push_str(&format!(
             "{:<16} {:>8} {:>6} {:>7} {:>12}({:<4}) {:>7}\n",
             x.seed,
-            x.scrapes,
-            x.slo_burns,
-            x.slo_clears,
-            x.suspects,
-            x.false_suspects,
+            x.report.scrapes,
+            x.report.slo_burns,
+            x.report.slo_clears,
+            x.report.suspects_raised,
+            x.report.false_suspects,
             if x.replay_ok { "ok" } else { "MISMATCH" },
         ));
     }
@@ -437,8 +430,8 @@ mod tests {
         assert_eq!(rows.len(), 1);
         for x in &rows {
             assert!(x.replay_ok, "{}: replay diverged", x.seed);
-            assert_eq!(x.slo_burns, 0, "{}: attack-free seed burned an SLO", x.seed);
-            assert!(x.scrapes > 0, "{}: observatory never scraped", x.seed);
+            assert_eq!(x.report.slo_burns, 0, "{}: attack-free seed burned an SLO", x.seed);
+            assert!(x.report.scrapes > 0, "{}: observatory never scraped", x.seed);
         }
     }
 

@@ -26,7 +26,10 @@
 use std::sync::Arc;
 
 use vtpm::{Envelope, FlushPolicy, ManagerConfig, MirrorMode, VtpmInstance, VtpmManager};
+use vtpm_telemetry::json_str;
 use xen_sim::{DomainId, Hypervisor};
+
+use crate::{extend_cmd, json_list, pcr_read_cmd, STARTUP};
 
 /// Hard ceiling on `ns/cmd(largest count) / ns/cmd(smallest count)`.
 pub const BUDGET_RATIO: f64 = 1.5;
@@ -54,25 +57,6 @@ pub struct P1Point {
     pub data_pages_written: u64,
 }
 
-fn pcr_read_cmd() -> Vec<u8> {
-    let mut cmd = Vec::with_capacity(14);
-    cmd.extend_from_slice(&0x00C1u16.to_be_bytes());
-    cmd.extend_from_slice(&14u32.to_be_bytes());
-    cmd.extend_from_slice(&tpm::ordinal::PCR_READ.to_be_bytes());
-    cmd.extend_from_slice(&0u32.to_be_bytes());
-    cmd
-}
-
-fn extend_cmd(idx: u32) -> Vec<u8> {
-    let mut cmd = Vec::with_capacity(34);
-    cmd.extend_from_slice(&0x00C1u16.to_be_bytes());
-    cmd.extend_from_slice(&34u32.to_be_bytes());
-    cmd.extend_from_slice(&tpm::ordinal::EXTEND.to_be_bytes());
-    cmd.extend_from_slice(&idx.to_be_bytes());
-    cmd.extend_from_slice(&[0x5A; 20]);
-    cmd
-}
-
 fn envelope(instance: u32, seq: u64, command: Vec<u8>) -> Vec<u8> {
     Envelope { domain: 1, instance, seq, locality: 0, tag: None, command }.encode()
 }
@@ -97,8 +81,7 @@ fn build_world(count: usize) -> (Arc<Hypervisor>, VtpmManager, Vec<u32>) {
     .expect("manager");
     let first = mgr.create_instance().expect("template");
     // Start the template once; every clone inherits the started state.
-    let startup = vec![0x00, 0xC1, 0, 0, 0, 12, 0, 0, 0, 0x99, 0, 1];
-    mgr.handle(DomainId(1), &envelope(first, 1, startup));
+    mgr.handle(DomainId(1), &envelope(first, 1, STARTUP.to_vec()));
     let state = mgr.export_instance_state(first).expect("template state");
     let cfg = mgr.config().vtpm_config.clone();
     let mut ids = Vec::with_capacity(count);
@@ -137,7 +120,7 @@ pub fn run(counts: &[usize], read_cmds: usize, mutate_cmds: usize) -> Vec<P1Poin
             // Best of three timed passes (after a warmup) — the gate
             // compares ratios, so per-run scheduler noise matters more
             // than absolute accuracy.
-            let read = pcr_read_cmd();
+            let read = pcr_read_cmd(0);
             let mut read_ns_per_cmd = f64::INFINITY;
             for pass in 0..4 {
                 let t0 = std::time::Instant::now();
@@ -155,7 +138,7 @@ pub fn run(counts: &[usize], read_cmds: usize, mutate_cmds: usize) -> Vec<P1Poin
             }
 
             let io_before = mgr.mirror_io_stats();
-            let ext = extend_cmd(3);
+            let ext = extend_cmd(3, 0x5A);
             let t1 = std::time::Instant::now();
             for j in 0..mutate_cmds {
                 seq += 1;
@@ -195,6 +178,37 @@ pub fn overhead_ratio(points: &[P1Point]) -> f64 {
     let (Some(first), Some(last)) = (points.first(), points.last()) else { return 0.0 };
     let base = best(first.instances);
     if base > 0.0 && base.is_finite() { best(last.instances) / base } else { 0.0 }
+}
+
+/// The CI gate: the read path degrades past [`BUDGET_RATIO`].
+pub fn gate_failed(points: &[P1Point]) -> bool {
+    overhead_ratio(points) > BUDGET_RATIO
+}
+
+/// Artifact fields (`repro p1 --json`): the sweep's command counts, one
+/// object per (instances, policy) point, the gated ratio, and the budget.
+pub fn json(points: &[P1Point], read_cmds: usize, mutate_cmds: usize) -> String {
+    let rows = json_list(points, |p| {
+        format!(
+            "{{\"instances\":{},\"policy\":{},\"read_ns_per_cmd\":{:.1},\
+             \"mutate_ns_per_cmd\":{:.1},\"staged_updates\":{},\
+             \"batched_commits\":{},\"flushes\":{},\"data_pages_written\":{}}}",
+            p.instances,
+            json_str(if p.batched { "batched" } else { "per-command" }),
+            p.read_ns_per_cmd,
+            p.mutate_ns_per_cmd,
+            p.staged_updates,
+            p.batched_commits,
+            p.flushes,
+            p.data_pages_written
+        )
+    });
+    format!(
+        "\"read_cmds\":{read_cmds},\"mutate_cmds\":{mutate_cmds},\"points\":{rows},\
+         \"overhead_ratio\":{:.3},\"budget_ratio\":{:.1}",
+        overhead_ratio(points),
+        BUDGET_RATIO,
+    )
 }
 
 /// Render the table.

@@ -12,7 +12,7 @@
 //! the whole scenario is deterministic under replay.
 
 use vtpm::MirrorMode;
-use vtpm_harness::{run_chaos, ChaosConfig};
+use vtpm_harness::{run_chaos, ChaosConfig, ChaosReport};
 
 /// One chaos scenario (seed × mirror mode), replayed twice.
 #[derive(Debug, Clone)]
@@ -21,31 +21,10 @@ pub struct R1Row {
     pub seed: String,
     /// Mirror mode the manager ran in.
     pub mode: &'static str,
-    /// Faults the plan actually scheduled.
-    pub faults: usize,
-    /// Manager crashes injected and recovered from.
-    pub crash_recoveries: u64,
-    /// Recoveries that landed on the post-command state (update committed).
-    pub recovered_post: u64,
-    /// Recoveries that landed on the pre-command state (update torn off).
-    pub recovered_pre: u64,
-    /// Frontend reconnects after grant revocation.
-    pub ring_reconnects: u64,
-    /// Oracle divergences (the headline number: must be 0).
-    pub divergences: usize,
-    /// CTR nonce pairs reused across the run (must be 0).
-    pub nonce_reuses: u64,
-    /// Requests the manager completed end to end, summed over epochs
-    /// (from the telemetry registry).
-    pub completed: u64,
-    /// Telemetry span-ring overflow drops (must be 0 at harness sizes).
-    pub dropped_events: u64,
-    /// Post-commit hygiene scrubs that failed (expected only under
-    /// injected crash faults; recovery re-scrubs).
-    pub scrub_failures: u64,
-    /// Mirror generations burned by the retry escrow — the mechanism
-    /// that keeps `nonce_reuses` at 0 after failed commits.
-    pub retried_generation_burns: u64,
+    /// The first run's report: recoveries must land on the post- or
+    /// pre-command state, with zero divergences, nonce reuses and span
+    /// drops (scrub failures are expected only under injected crashes).
+    pub report: ChaosReport,
     /// Whether the replay produced a byte-identical report.
     pub deterministic: bool,
 }
@@ -60,24 +39,10 @@ pub fn run(seeds: usize, events: usize, faults: usize) -> Vec<R1Row> {
         for s in 0..seeds {
             let label = format!("r1-{s}");
             let cfg = ChaosConfig { events, faults, mirror_mode: mode, ..ChaosConfig::default() };
-            let a = run_chaos(label.as_bytes(), &cfg).expect("chaos run");
-            let b = run_chaos(label.as_bytes(), &cfg).expect("chaos replay");
-            rows.push(R1Row {
-                seed: label,
-                mode: mode_name,
-                faults: a.faults.len(),
-                crash_recoveries: a.crash_recoveries,
-                recovered_post: a.recovered_post,
-                recovered_pre: a.recovered_pre,
-                ring_reconnects: a.ring_reconnects,
-                divergences: a.divergences.len(),
-                nonce_reuses: a.nonce_reuses,
-                completed: a.completed,
-                dropped_events: a.dropped_events,
-                scrub_failures: a.scrub_failures,
-                retried_generation_burns: a.retried_generation_burns,
-                deterministic: a == b,
-            });
+            let report = run_chaos(label.as_bytes(), &cfg).expect("chaos run");
+            let replay = run_chaos(label.as_bytes(), &cfg).expect("chaos replay");
+            let deterministic = report == replay;
+            rows.push(R1Row { seed: label, mode: mode_name, report, deterministic });
         }
     }
     rows
@@ -93,35 +58,36 @@ pub fn render(rows: &[R1Row]) -> String {
         "scrubfail", "retburns", "diverge", "nonce", "det"
     ));
     for r in rows {
+        let a = &r.report;
         out.push_str(&format!(
             "{:<8} {:<10} {:>6} {:>8} {:>5} {:>5} {:>10} {:>9} {:>5} {:>9} {:>8} {:>9} {:>7} {:>6}\n",
             r.seed,
             r.mode,
-            r.faults,
-            r.crash_recoveries,
-            r.recovered_post,
-            r.recovered_pre,
-            r.ring_reconnects,
-            r.completed,
-            r.dropped_events,
-            r.scrub_failures,
-            r.retried_generation_burns,
-            r.divergences,
-            r.nonce_reuses,
+            a.faults.len(),
+            a.crash_recoveries,
+            a.recovered_post,
+            a.recovered_pre,
+            a.ring_reconnects,
+            a.completed,
+            a.dropped_events,
+            a.scrub_failures,
+            a.retried_generation_burns,
+            a.divergences.len(),
+            a.nonce_reuses,
             if r.deterministic { "yes" } else { "NO" },
         ));
     }
-    let crashes: u64 = rows.iter().map(|r| r.crash_recoveries).sum();
-    let diverged: usize = rows.iter().map(|r| r.divergences).sum();
+    let crashes: u64 = rows.iter().map(|r| r.report.crash_recoveries).sum();
+    let diverged: usize = rows.iter().map(|r| r.report.divergences.len()).sum();
     let nondet = rows.iter().filter(|r| !r.deterministic).count();
     out.push_str(&format!(
         "totals: {} scenarios, {} crash recoveries, {} commands completed, {} span drops, \
          {} scrub failures, {} divergences, {} nondeterministic replays\n",
         rows.len(),
         crashes,
-        rows.iter().map(|r| r.completed).sum::<u64>(),
-        rows.iter().map(|r| r.dropped_events).sum::<u64>(),
-        rows.iter().map(|r| r.scrub_failures).sum::<u64>(),
+        rows.iter().map(|r| r.report.completed).sum::<u64>(),
+        rows.iter().map(|r| r.report.dropped_events).sum::<u64>(),
+        rows.iter().map(|r| r.report.scrub_failures).sum::<u64>(),
         diverged,
         nondet,
     ));
@@ -137,12 +103,13 @@ mod tests {
         let rows = run(4, 48, 4);
         assert_eq!(rows.len(), 8);
         for r in &rows {
-            assert_eq!(r.divergences, 0, "seed {} ({}) diverged", r.seed, r.mode);
-            assert_eq!(r.nonce_reuses, 0, "seed {} ({}) reused a nonce", r.seed, r.mode);
+            let a = &r.report;
+            assert_eq!(a.divergences.len(), 0, "seed {} ({}) diverged", r.seed, r.mode);
+            assert_eq!(a.nonce_reuses, 0, "seed {} ({}) reused a nonce", r.seed, r.mode);
             assert!(r.deterministic, "seed {} ({}) replayed differently", r.seed, r.mode);
             assert_eq!(
-                r.recovered_post + r.recovered_pre,
-                r.crash_recoveries,
+                a.recovered_post + a.recovered_pre,
+                a.crash_recoveries,
                 "seed {} ({}): a recovery matched neither legal state",
                 r.seed,
                 r.mode
@@ -152,12 +119,12 @@ mod tests {
         // telemetry registry must have seen the traffic without losing
         // span records.
         assert!(
-            rows.iter().map(|r| r.crash_recoveries).sum::<u64>() > 0,
+            rows.iter().map(|r| r.report.crash_recoveries).sum::<u64>() > 0,
             "no scenario drew a crash fault; widen the sweep"
         );
         for r in &rows {
-            assert!(r.completed > 0, "seed {} ({}) completed no requests", r.seed, r.mode);
-            assert_eq!(r.dropped_events, 0, "seed {} ({}) dropped spans", r.seed, r.mode);
+            assert!(r.report.completed > 0, "seed {} ({}) completed no requests", r.seed, r.mode);
+            assert_eq!(r.report.dropped_events, 0, "seed {} ({}) dropped spans", r.seed, r.mode);
         }
         let table = render(&rows);
         assert!(table.contains("0 divergences"));

@@ -45,11 +45,11 @@ use vtpm_attest::{
     IssuerConfig, QuoteIssuer, Submission, Verdict, VerifierConfig, VerifierPool,
 };
 use vtpm_sentinel::{Sentinel, SentinelConfig, Severity};
-use vtpm_telemetry::Telemetry;
+use vtpm_telemetry::{json_str, Telemetry};
 use xen_sim::Result as XenResult;
 
 use crate::sentinel_feed::{apply_verifier_alerts, attest_event, audit_event};
-use crate::{json_str, json_str_array};
+use crate::{hex, json_array};
 
 /// Tunables for one attestation chaos run.
 #[derive(Debug, Clone)]
@@ -101,7 +101,7 @@ impl AttestChaosConfig {
 
 /// Everything observable about one attestation chaos run. Two runs of
 /// the same seed and config must compare equal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttestChaosReport {
     /// Hex of the seed.
     pub seed: String,
@@ -173,10 +173,10 @@ impl AttestChaosReport {
             self.stale_denials,
             self.replay_denials,
             self.audit_chain_ok,
-            json_str_array(&self.divergences),
-            json_str_array(&self.sentinel_alerts),
+            json_array(&self.divergences),
+            json_array(&self.sentinel_alerts),
             self.sentinel_critical,
-            json_str(&self.transcript.iter().map(|b| format!("{b:02x}")).collect::<String>()),
+            json_str(&hex(&self.transcript)),
         )
     }
 }
@@ -216,26 +216,9 @@ pub fn run_attest_chaos(seed: &[u8], cfg: &AttestChaosConfig) -> XenResult<Attes
     let mut sentinel = Sentinel::new(SentinelConfig::default());
     let mut transcript: Vec<u8> = Vec::new();
     let mut report = AttestChaosReport {
-        seed: seed.iter().map(|b| format!("{b:02x}")).collect(),
+        seed: hex(seed),
         rounds: cfg.rounds,
-        submissions: 0,
-        accepted: 0,
-        injected_replays: 0,
-        replays_refused: 0,
-        injected_stale: 0,
-        stale_refused: 0,
-        storm_submissions: 0,
-        storm_throttled: false,
-        signing_passes: 0,
-        cache_absorbed: 0,
-        pcr_extends: 0,
-        stale_denials: 0,
-        replay_denials: 0,
-        audit_chain_ok: false,
-        sentinel_alerts: Vec::new(),
-        sentinel_critical: 0,
-        divergences: Vec::new(),
-        transcript: [0; 32],
+        ..Default::default()
     };
 
     let submit = |pool: &VerifierPool,

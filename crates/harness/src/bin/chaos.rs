@@ -42,9 +42,11 @@ use std::sync::mpsc;
 
 use vtpm::MirrorMode;
 use vtpm_harness::{
-    run_attest_chaos, run_chaos, run_crash_matrix, run_fleet_chaos, run_migration_chaos,
-    AttestChaosConfig, ChaosConfig, FleetChaosConfig, MigrationChaosConfig,
+    hex, run_attest_chaos, run_chaos, run_crash_matrix, run_fleet_chaos, run_migration_chaos,
+    AttestChaosConfig, AttestChaosReport, ChaosConfig, ChaosReport, CrashMatrixReport,
+    FleetChaosConfig, FleetChaosReport, MigrationChaosConfig, MigrationChaosReport,
 };
+use xen_sim::Result as XenResult;
 
 /// Everything one seed produced: its report text (divergence detail
 /// included) and whether it counts as a failure.
@@ -58,279 +60,255 @@ fn json_line(report_json: &str, deterministic: bool, failed: bool) -> String {
     format!("{{\"report\":{report_json},\"deterministic\":{deterministic},\"failed\":{failed}}}\n")
 }
 
-/// Run one seed twice, diff the replays, and render the report line.
-fn run_seed(seed: &str, cfg: &ChaosConfig, json: bool) -> SeedOutcome {
-    let first = match run_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: harness error: {e}\n"), failed: true }
-        }
-    };
-    let replay = match run_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: replay error: {e}\n"), failed: true }
-        }
-    };
-    let deterministic = first == replay;
-    // Scrub failures are *not* a failure condition: an injected crash
-    // can land on a post-commit hygiene scrub, which is best-effort by
-    // design (recovery re-scrubs). They are surfaced in the report line
-    // and covered by the determinism diff instead. A critical sentinel
-    // alert on a clean (attack-free) seed is a false positive and fails
-    // the seed.
-    let clean = first.divergences.is_empty()
-        && first.nonce_reuses == 0
-        && first.dropped_events == 0
-        && first.sentinel_critical == 0;
-    if json {
-        return SeedOutcome {
-            text: json_line(&first.to_json(), deterministic, !deterministic || !clean),
-            failed: !deterministic || !clean,
-        };
-    }
-    let mut text = format!(
-        "seed {seed}: transcript {} faults {:?} recoveries {} (post {} / pre {}) reconnects {} \
-         completed {} dropped {} scrub-failures {} retried-burns {} divergences {} nonce-reuses {} \
-         sentinel-critical {}{}\n",
-        first.transcript.iter().take(8).map(|b| format!("{b:02x}")).collect::<String>(),
-        first.faults.iter().map(|(_, n)| *n).collect::<Vec<_>>(),
-        first.crash_recoveries,
-        first.recovered_post,
-        first.recovered_pre,
-        first.ring_reconnects,
-        first.completed,
-        first.dropped_events,
-        first.scrub_failures,
-        first.retried_generation_burns,
-        first.divergences.len(),
-        first.nonce_reuses,
-        first.sentinel_critical,
-        if deterministic { "" } else { "  REPLAY MISMATCH" },
-    );
-    for d in &first.divergences {
-        text.push_str(&format!("    {d}\n"));
-    }
-    for a in &first.sentinel_alerts {
-        text.push_str(&format!("    {a}\n"));
-    }
-    SeedOutcome { text, failed: !deterministic || !clean }
+/// What the CLI reads off one family's seed report.
+trait SeedReport: PartialEq {
+    /// The seed's own verdict, replay determinism aside.
+    fn clean(&self) -> bool;
+    /// The report as one JSON object.
+    fn json(&self) -> String;
+    /// The text line after `<kind> <seed>`.
+    fn summary(&self) -> String;
+    /// Lines printed indented under the summary.
+    fn details(&self) -> Vec<&String>;
 }
 
-/// Run one migration-family seed twice, diff the replays, render.
-fn run_migration_seed(seed: &str, cfg: &MigrationChaosConfig, json: bool) -> SeedOutcome {
-    let first = match run_migration_chaos(seed.as_bytes(), cfg) {
+/// Run one seed twice via `run`, diff the replays, and render the
+/// report line (`kind` is `seed` or `matrix`).
+fn run_twice<R: SeedReport>(
+    kind: &str,
+    seed: &str,
+    json: bool,
+    run: impl Fn() -> XenResult<R>,
+) -> SeedOutcome {
+    let first = match run() {
         Ok(r) => r,
         Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: harness error: {e}\n"), failed: true }
+            let text = format!("{kind} {seed}: harness error: {e}\n");
+            return SeedOutcome { text, failed: true };
         }
     };
-    let replay = match run_migration_chaos(seed.as_bytes(), cfg) {
+    let replay = match run() {
         Ok(r) => r,
         Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: replay error: {e}\n"), failed: true }
+            let text = format!("{kind} {seed}: replay error: {e}\n");
+            return SeedOutcome { text, failed: true };
         }
     };
     let deterministic = first == replay;
-    let clean = first.divergences.is_empty() && first.sentinel_critical == 0;
+    let failed = !deterministic || !first.clean();
     if json {
-        return SeedOutcome {
-            text: json_line(&first.to_json(), deterministic, !deterministic || !clean),
-            failed: !deterministic || !clean,
-        };
+        return SeedOutcome { text: json_line(&first.json(), deterministic, failed), failed };
     }
-    let f = first.fabric;
     let mut text = format!(
-        "seed {seed} [migration]: transcript {} committed {} aborted {} rejected-stale {} \
-         crashes {} rebalance-moves {} fabric {}s/{}d/{}dup/{}ro/{}lost divergences {} \
-         sentinel-critical {}{}\n",
-        first.transcript.iter().take(8).map(|b| format!("{b:02x}")).collect::<String>(),
-        first.committed,
-        first.aborted,
-        first.rejected_stale,
-        first.crashes,
-        first.rebalance_moves,
-        f.sent,
-        f.dropped,
-        f.duplicated,
-        f.reordered,
-        f.crash_lost,
-        first.divergences.len(),
-        first.sentinel_critical,
+        "{kind} {seed}{}{}\n",
+        first.summary(),
         if deterministic { "" } else { "  REPLAY MISMATCH" },
     );
-    for d in &first.divergences {
+    for d in first.details() {
         text.push_str(&format!("    {d}\n"));
     }
-    for a in &first.sentinel_alerts {
-        text.push_str(&format!("    {a}\n"));
-    }
-    SeedOutcome { text, failed: !deterministic || !clean }
+    SeedOutcome { text, failed }
 }
 
-/// Run one attest-family seed twice, diff the replays, render. Critical
-/// sentinel alerts are *expected* here (injected attacks must be
-/// detected — a missed detection is reported as a divergence by the
-/// family itself), so clean means divergence-free, nothing more.
-fn run_attest_seed(seed: &str, cfg: &AttestChaosConfig, json: bool) -> SeedOutcome {
-    let first = match run_attest_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: harness error: {e}\n"), failed: true }
-        }
-    };
-    let replay = match run_attest_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: replay error: {e}\n"), failed: true }
-        }
-    };
-    let deterministic = first == replay;
-    let clean = first.divergences.is_empty();
-    if json {
-        return SeedOutcome {
-            text: json_line(&first.to_json(), deterministic, !deterministic || !clean),
-            failed: !deterministic || !clean,
-        };
+impl SeedReport for ChaosReport {
+    /// Scrub failures are *not* a failure condition: an injected crash
+    /// can land on a post-commit hygiene scrub, which is best-effort by
+    /// design (recovery re-scrubs). They are surfaced in the report line
+    /// and covered by the determinism diff instead. A critical sentinel
+    /// alert on a clean (attack-free) seed is a false positive and fails
+    /// the seed.
+    fn clean(&self) -> bool {
+        self.divergences.is_empty()
+            && self.nonce_reuses == 0
+            && self.dropped_events == 0
+            && self.sentinel_critical == 0
     }
-    let mut text = format!(
-        "seed {seed} [attest]: transcript {} submissions {} accepted {} replays {}/{} \
-         stale {}/{} storm {}{} signing-passes {} cache-absorbed {} pcr-extends {} \
-         audit-chain {} divergences {} sentinel-critical {}{}\n",
-        first.transcript.iter().take(8).map(|b| format!("{b:02x}")).collect::<String>(),
-        first.submissions,
-        first.accepted,
-        first.replays_refused,
-        first.injected_replays,
-        first.stale_refused,
-        first.injected_stale,
-        first.storm_submissions,
-        if first.storm_throttled { " (throttled)" } else { "" },
-        first.signing_passes,
-        first.cache_absorbed,
-        first.pcr_extends,
-        if first.audit_chain_ok { "ok" } else { "BROKEN" },
-        first.divergences.len(),
-        first.sentinel_critical,
-        if deterministic { "" } else { "  REPLAY MISMATCH" },
-    );
-    for d in &first.divergences {
-        text.push_str(&format!("    {d}\n"));
+
+    fn json(&self) -> String {
+        self.to_json()
     }
-    for a in &first.sentinel_alerts {
-        text.push_str(&format!("    {a}\n"));
+
+    fn summary(&self) -> String {
+        format!(
+            ": transcript {} faults {:?} recoveries {} (post {} / pre {}) reconnects {} \
+             completed {} dropped {} scrub-failures {} retried-burns {} divergences {} \
+             nonce-reuses {} sentinel-critical {}",
+            hex(&self.transcript[..8]),
+            self.faults.iter().map(|(_, n)| *n).collect::<Vec<_>>(),
+            self.crash_recoveries,
+            self.recovered_post,
+            self.recovered_pre,
+            self.ring_reconnects,
+            self.completed,
+            self.dropped_events,
+            self.scrub_failures,
+            self.retried_generation_burns,
+            self.divergences.len(),
+            self.nonce_reuses,
+            self.sentinel_critical,
+        )
     }
-    SeedOutcome { text, failed: !deterministic || !clean }
+
+    fn details(&self) -> Vec<&String> {
+        self.divergences.iter().chain(&self.sentinel_alerts).collect()
+    }
 }
 
-/// Run one fleet-family seed twice, diff the replays, render. Clean
-/// means: no divergences, every VM accounted for exactly once (zero
-/// lost / duplicated / orphaned, journals settled), every injected
-/// conflict resolved to at most one winner, and no critical sentinel
-/// alerts (churn-storm alerts are Warning-class and expected).
-fn run_fleet_seed(seed: &str, cfg: &FleetChaosConfig, json: bool) -> SeedOutcome {
-    let first = match run_fleet_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: harness error: {e}\n"), failed: true }
-        }
-    };
-    let replay = match run_fleet_chaos(seed.as_bytes(), cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("seed {seed}: replay error: {e}\n"), failed: true }
-        }
-    };
-    let deterministic = first == replay;
-    let clean = first.divergences.is_empty()
-        && first.lost == 0
-        && first.duplicated == 0
-        && first.orphaned == 0
-        && first.unsettled == 0
-        && first.multi_winner_conflicts == 0
-        && first.sentinel_critical == 0;
-    if json {
-        return SeedOutcome {
-            text: json_line(&first.to_json(), deterministic, !deterministic || !clean),
-            failed: !deterministic || !clean,
-        };
+impl SeedReport for MigrationChaosReport {
+    fn clean(&self) -> bool {
+        self.divergences.is_empty() && self.sentinel_critical == 0
     }
-    let mut text = format!(
-        "seed {seed} [fleet]: transcript {} ticks {} committed {} aborted {} rejected-stale {} \
-         abandoned {} refused {} conflicts {}/{}pairs crashes {} revivals {} joins {} \
-         suspects {} (false {}) pauses {}/{} p99-downtime {}ns lost {} dup {} orphaned {} \
-         unsettled {} divergences {} sentinel-critical {}{}\n",
-        first.transcript.iter().take(8).map(|b| format!("{b:02x}")).collect::<String>(),
-        first.ticks,
-        first.committed,
-        first.aborted,
-        first.rejected_stale,
-        first.abandoned,
-        first.refused,
-        first.conflicts,
-        first.conflict_pairs,
-        first.crashes,
-        first.revivals,
-        first.joins,
-        first.suspects_raised,
-        first.false_suspects,
-        first.storm_pauses,
-        first.storm_resumes,
-        first.downtime_p99_ns,
-        first.lost,
-        first.duplicated,
-        first.orphaned,
-        first.unsettled,
-        first.divergences.len(),
-        first.sentinel_critical,
-        if deterministic { "" } else { "  REPLAY MISMATCH" },
-    );
-    for d in &first.divergences {
-        text.push_str(&format!("    {d}\n"));
+
+    fn json(&self) -> String {
+        self.to_json()
     }
-    for a in &first.sentinel_alerts {
-        text.push_str(&format!("    {a}\n"));
+
+    fn summary(&self) -> String {
+        let f = self.fabric;
+        format!(
+            " [migration]: transcript {} committed {} aborted {} rejected-stale {} crashes {} \
+             rebalance-moves {} fabric {}s/{}d/{}dup/{}ro/{}lost divergences {} \
+             sentinel-critical {}",
+            hex(&self.transcript[..8]),
+            self.committed,
+            self.aborted,
+            self.rejected_stale,
+            self.crashes,
+            self.rebalance_moves,
+            f.sent,
+            f.dropped,
+            f.duplicated,
+            f.reordered,
+            f.crash_lost,
+            self.divergences.len(),
+            self.sentinel_critical,
+        )
     }
-    SeedOutcome { text, failed: !deterministic || !clean }
+
+    fn details(&self) -> Vec<&String> {
+        self.divergences.iter().chain(&self.sentinel_alerts).collect()
+    }
 }
 
-/// Run the exhaustive crash matrix twice on one seed, diff, render.
-fn run_matrix_seed(seed: &str, json: bool) -> SeedOutcome {
-    let first = match run_crash_matrix(seed.as_bytes(), true) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("matrix {seed}: harness error: {e}\n"), failed: true }
-        }
-    };
-    let replay = match run_crash_matrix(seed.as_bytes(), true) {
-        Ok(r) => r,
-        Err(e) => {
-            return SeedOutcome { text: format!("matrix {seed}: replay error: {e}\n"), failed: true }
-        }
-    };
-    let deterministic = first == replay;
-    let clean = first.failures.is_empty() && first.cells.len() == 18;
-    if json {
-        return SeedOutcome {
-            text: json_line(&first.to_json(), deterministic, !deterministic || !clean),
-            failed: !deterministic || !clean,
-        };
+impl SeedReport for AttestChaosReport {
+    /// Critical sentinel alerts are *expected* here (injected attacks
+    /// must be detected — a missed detection is reported as a divergence
+    /// by the family itself), so clean means divergence-free.
+    fn clean(&self) -> bool {
+        self.divergences.is_empty()
     }
-    let moved = first.cells.iter().filter(|c| c.moved).count();
-    let mut text = format!(
-        "matrix {seed}: transcript {} cells {} committed-handoffs {} replays-rejected {} \
-         failures {}{}\n",
-        first.transcript.iter().take(8).map(|b| format!("{b:02x}")).collect::<String>(),
-        first.cells.len(),
-        moved,
-        first.replays_rejected,
-        first.failures.len(),
-        if deterministic { "" } else { "  REPLAY MISMATCH" },
-    );
-    for d in &first.failures {
-        text.push_str(&format!("    {d}\n"));
+
+    fn json(&self) -> String {
+        self.to_json()
     }
-    SeedOutcome { text, failed: !deterministic || !clean }
+
+    fn summary(&self) -> String {
+        format!(
+            " [attest]: transcript {} submissions {} accepted {} replays {}/{} stale {}/{} \
+             storm {}{} signing-passes {} cache-absorbed {} pcr-extends {} audit-chain {} \
+             divergences {} sentinel-critical {}",
+            hex(&self.transcript[..8]),
+            self.submissions,
+            self.accepted,
+            self.replays_refused,
+            self.injected_replays,
+            self.stale_refused,
+            self.injected_stale,
+            self.storm_submissions,
+            if self.storm_throttled { " (throttled)" } else { "" },
+            self.signing_passes,
+            self.cache_absorbed,
+            self.pcr_extends,
+            if self.audit_chain_ok { "ok" } else { "BROKEN" },
+            self.divergences.len(),
+            self.sentinel_critical,
+        )
+    }
+
+    fn details(&self) -> Vec<&String> {
+        self.divergences.iter().chain(&self.sentinel_alerts).collect()
+    }
+}
+
+impl SeedReport for FleetChaosReport {
+    /// No divergences, every VM accounted for exactly once (zero lost /
+    /// duplicated / orphaned, journals settled), every injected conflict
+    /// resolved to at most one winner, and no critical sentinel alerts
+    /// (churn-storm alerts are Warning-class and expected).
+    fn clean(&self) -> bool {
+        self.divergences.is_empty()
+            && self.lost == 0
+            && self.duplicated == 0
+            && self.orphaned == 0
+            && self.unsettled == 0
+            && self.multi_winner_conflicts == 0
+            && self.sentinel_critical == 0
+    }
+
+    fn json(&self) -> String {
+        self.to_json()
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            " [fleet]: transcript {} ticks {} committed {} aborted {} rejected-stale {} \
+             abandoned {} refused {} conflicts {}/{}pairs crashes {} revivals {} joins {} \
+             suspects {} (false {}) pauses {}/{} p99-downtime {}ns lost {} dup {} orphaned {} \
+             unsettled {} divergences {} sentinel-critical {}",
+            hex(&self.transcript[..8]),
+            self.ticks,
+            self.committed,
+            self.aborted,
+            self.rejected_stale,
+            self.abandoned,
+            self.refused,
+            self.conflicts,
+            self.conflict_pairs,
+            self.crashes,
+            self.revivals,
+            self.joins,
+            self.suspects_raised,
+            self.false_suspects,
+            self.storm_pauses,
+            self.storm_resumes,
+            self.downtime_p99_ns,
+            self.lost,
+            self.duplicated,
+            self.orphaned,
+            self.unsettled,
+            self.divergences.len(),
+            self.sentinel_critical,
+        )
+    }
+
+    fn details(&self) -> Vec<&String> {
+        self.divergences.iter().chain(&self.sentinel_alerts).collect()
+    }
+}
+
+impl SeedReport for CrashMatrixReport {
+    fn clean(&self) -> bool {
+        self.failures.is_empty() && self.cells.len() == 18
+    }
+
+    fn json(&self) -> String {
+        self.to_json()
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            ": transcript {} cells {} committed-handoffs {} replays-rejected {} failures {}",
+            hex(&self.transcript[..8]),
+            self.cells.len(),
+            self.cells.iter().filter(|c| c.moved).count(),
+            self.replays_rejected,
+            self.failures.len(),
+        )
+    }
+
+    fn details(&self) -> Vec<&String> {
+        self.failures.iter().collect()
+    }
 }
 
 /// Fan `seeds` out over `jobs` worker threads, printing outcomes in
@@ -377,8 +355,8 @@ fn main() -> ExitCode {
     let mut cfg = ChaosConfig::default();
     let mut base = String::from("chaos");
     let mut jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let (mut mirror_family, mut migration_family, mut attest_family, mut fleet_family) =
-        (true, false, false, false);
+    let [mut mirror_family, mut migration_family, mut attest_family, mut fleet_family] =
+        [true, false, false, false];
     let mut matrix = false;
     let mut json = false;
 
@@ -424,36 +402,21 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--family" => match take("--family").map(String::as_str) {
-                Some("mirror") => {
-                    (mirror_family, migration_family, attest_family, fleet_family) =
-                        (true, false, false, false)
-                }
-                Some("migration") => {
-                    (mirror_family, migration_family, attest_family, fleet_family) =
-                        (false, true, false, false)
-                }
-                Some("attest") => {
-                    (mirror_family, migration_family, attest_family, fleet_family) =
-                        (false, false, true, false)
-                }
-                Some("fleet") => {
-                    (mirror_family, migration_family, attest_family, fleet_family) =
-                        (false, false, false, true)
-                }
-                Some("both") => {
-                    (mirror_family, migration_family, attest_family, fleet_family) =
-                        (true, true, false, false)
-                }
-                Some("all") => {
-                    (mirror_family, migration_family, attest_family, fleet_family) =
-                        (true, true, true, true)
-                }
-                _ => {
-                    eprintln!("--family is mirror|migration|attest|fleet|both|all");
-                    return ExitCode::from(2);
-                }
-            },
+            "--family" => {
+                [mirror_family, migration_family, attest_family, fleet_family] =
+                    match take("--family").map(String::as_str) {
+                        Some("mirror") => [true, false, false, false],
+                        Some("migration") => [false, true, false, false],
+                        Some("attest") => [false, false, true, false],
+                        Some("fleet") => [false, false, false, true],
+                        Some("both") => [true, true, false, false],
+                        Some("all") => [true; 4],
+                        _ => {
+                            eprintln!("--family is mirror|migration|attest|fleet|both|all");
+                            return ExitCode::from(2);
+                        }
+                    }
+            }
             "--matrix" => matrix = true,
             "--json" => json = true,
             other => {
@@ -470,7 +433,10 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     let mut ran = 0usize;
     if mirror_family {
-        failures += run_family(seeds, jobs, |s| run_seed(&format!("{base}-{s}"), &cfg, json));
+        failures += run_family(seeds, jobs, |s| {
+            let seed = format!("{base}-{s}");
+            run_twice("seed", &seed, json, || run_chaos(seed.as_bytes(), &cfg))
+        });
         ran += seeds;
     }
     if migration_family {
@@ -479,26 +445,30 @@ fn main() -> ExitCode {
             ..Default::default()
         };
         failures += run_family(seeds, jobs, |s| {
-            run_migration_seed(&format!("{base}-mig-{s}"), &mig_cfg, json)
+            let seed = format!("{base}-mig-{s}");
+            run_twice("seed", &seed, json, || run_migration_chaos(seed.as_bytes(), &mig_cfg))
         });
         ran += seeds;
     }
     if attest_family {
         let att_cfg = AttestChaosConfig::default();
         failures += run_family(seeds, jobs, |s| {
-            run_attest_seed(&format!("{base}-att-{s}"), &att_cfg, json)
+            let seed = format!("{base}-att-{s}");
+            run_twice("seed", &seed, json, || run_attest_chaos(seed.as_bytes(), &att_cfg))
         });
         ran += seeds;
     }
     if fleet_family {
         let fleet_cfg = FleetChaosConfig::default();
         failures += run_family(seeds, jobs, |s| {
-            run_fleet_seed(&format!("{base}-fleet-{s}"), &fleet_cfg, json)
+            let seed = format!("{base}-fleet-{s}");
+            run_twice("seed", &seed, json, || run_fleet_chaos(seed.as_bytes(), &fleet_cfg))
         });
         ran += seeds;
     }
     if matrix {
-        let outcome = run_matrix_seed(&format!("{base}-matrix"), json);
+        let seed = format!("{base}-matrix");
+        let outcome = run_twice("matrix", &seed, json, || run_crash_matrix(seed.as_bytes(), true));
         print!("{}", outcome.text);
         if outcome.failed {
             failures += 1;

@@ -31,11 +31,12 @@ use vtpm_cluster::{Cluster, ClusterConfig, FabricFault, FabricStats};
 use vtpm_fleet::{DriveDecision, DriveOutcome, Fleet, FleetConfig, Submitted, CONTROLLER_HOST};
 use vtpm_observatory::Observatory;
 use vtpm_sentinel::{Sentinel, SentinelConfig, Severity, StreamEvent};
+use vtpm_telemetry::json_str;
 use workload::{generate_trace, TpmOracle};
 use xen_sim::Result as XenResult;
 
 use crate::sentinel_feed::{apply_fleet_alerts, apply_slo_alerts, audit_event};
-use crate::{json_str, json_str_array};
+use crate::{hex, json_array};
 
 /// Tunables for one fleet-chaos scenario.
 #[derive(Debug, Clone)]
@@ -99,7 +100,7 @@ impl Default for FleetChaosConfig {
 
 /// Everything observable about one fleet-chaos run; two runs of the
 /// same seed and config must compare equal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetChaosReport {
     /// Hex of the seed.
     pub seed: String,
@@ -253,16 +254,12 @@ impl FleetChaosReport {
             f.duplicated,
             f.reordered,
             f.crash_lost,
-            json_str_array(&self.divergences),
-            json_str_array(&self.sentinel_alerts),
+            json_array(&self.divergences),
+            json_array(&self.sentinel_alerts),
             self.sentinel_critical,
             json_str(&hex(&self.transcript)),
         )
     }
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// Run one seeded fleet-chaos scenario. Deterministic in `seed` and
@@ -285,39 +282,7 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
     let mut report = FleetChaosReport {
         seed: hex(seed),
         rounds: cfg.rounds,
-        ticks: 0,
-        committed: 0,
-        aborted: 0,
-        rejected_stale: 0,
-        abandoned: 0,
-        refused: 0,
-        conflicts: 0,
-        conflict_pairs: 0,
-        multi_winner_conflicts: 0,
-        crashes: 0,
-        revivals: 0,
-        joins: 0,
-        suspects_raised: 0,
-        false_suspects: 0,
-        storm_pauses: 0,
-        storm_resumes: 0,
-        scrapes: 0,
-        slo_burns: 0,
-        slo_clears: 0,
-        slo_pauses: 0,
-        slo_resumes: 0,
-        lost: 0,
-        duplicated: 0,
-        orphaned: 0,
-        unsettled: 0,
-        downtime_p99_ns: 0,
-        downtime_max_ns: 0,
-        drives: Vec::new(),
-        fabric: FabricStats::default(),
-        divergences: Vec::new(),
-        sentinel_alerts: Vec::new(),
-        sentinel_critical: 0,
-        transcript: [0; 32],
+        ..Default::default()
     };
     let mut transcript: Vec<u8> = Vec::new();
 

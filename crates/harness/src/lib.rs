@@ -54,6 +54,7 @@ use vtpm::{
     provision_device, FlushPolicy, ManagerConfig, MirrorMode, TpmBack, TpmFront, VtpmManager,
 };
 use vtpm_sentinel::{Sentinel, SentinelConfig, Severity, StreamEvent};
+use vtpm_telemetry::json_str;
 use workload::trace::apply_to_tpm;
 use workload::{generate_trace, TpmOracle, TraceEvent};
 use xen_sim::{DomainConfig, DomainId, Hypervisor, Result as XenResult, RingFault};
@@ -166,7 +167,7 @@ impl Default for ChaosConfig {
 /// Everything observable about one chaos run. Two runs of the same
 /// seed and config must compare equal — that is the determinism
 /// contract `scripts/chaos.sh` enforces.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosReport {
     /// Hex of the seed the run was derived from.
     pub seed: String,
@@ -217,31 +218,13 @@ pub struct ChaosReport {
     pub transcript: [u8; 32],
 }
 
-fn hex(bytes: &[u8]) -> String {
+/// Lowercase hex of `bytes` (transcript digests in the reports).
+pub fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) —
-/// enough for report fields, which are ASCII by construction.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// `["a","b"]` from strings, escaped.
-pub(crate) fn json_str_array(items: impl IntoIterator<Item = impl AsRef<str>>) -> String {
+pub(crate) fn json_array(items: impl IntoIterator<Item = impl AsRef<str>>) -> String {
     let inner: Vec<String> = items.into_iter().map(|s| json_str(s.as_ref())).collect();
     format!("[{}]", inner.join(","))
 }
@@ -274,8 +257,8 @@ impl ChaosReport {
             self.scrub_failures,
             self.retried_generation_burns,
             self.nonce_reuses,
-            json_str_array(&self.divergences),
-            json_str_array(&self.sentinel_alerts),
+            json_array(&self.divergences),
+            json_array(&self.sentinel_alerts),
             self.sentinel_critical,
             self.sentinel_flight_dumps,
             json_str(&hex(&self.transcript)),
@@ -404,20 +387,7 @@ pub fn run_chaos(seed: &[u8], cfg: &ChaosConfig) -> XenResult<ChaosReport> {
         seed: hex(seed),
         events: trace.len(),
         faults: plan.faults.iter().map(|(&i, f)| (i, f.name())).collect(),
-        crash_recoveries: 0,
-        recovered_post: 0,
-        recovered_pre: 0,
-        ring_reconnects: 0,
-        divergences: Vec::new(),
-        nonce_reuses: 0,
-        completed: 0,
-        dropped_events: 0,
-        scrub_failures: 0,
-        retried_generation_burns: 0,
-        sentinel_alerts: Vec::new(),
-        sentinel_critical: 0,
-        sentinel_flight_dumps: 0,
-        transcript: [0; 32],
+        ..Default::default()
     };
     let mut transcript: Vec<u8> = Vec::new();
     let mut sentinel = Sentinel::new(SentinelConfig::default());

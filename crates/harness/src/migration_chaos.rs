@@ -26,11 +26,12 @@ use vtpm_cluster::{
     Cluster, ClusterConfig, FabricFault, FabricStats, MigMessage, MigrateOutcome,
 };
 use vtpm_sentinel::{Sentinel, SentinelConfig, Severity, StreamEvent};
+use vtpm_telemetry::json_str;
 use workload::{generate_trace, TpmOracle};
 use xen_sim::Result as XenResult;
 
 use crate::sentinel_feed::{audit_event, dump_event};
-use crate::{json_str, json_str_array};
+use crate::{hex, json_array};
 
 /// Tunables for one migration-chaos scenario.
 #[derive(Debug, Clone)]
@@ -64,7 +65,7 @@ impl Default for MigrationChaosConfig {
 
 /// Everything observable about one migration-chaos run; two runs of the
 /// same seed and config must compare equal.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MigrationChaosReport {
     /// Hex of the seed.
     pub seed: String,
@@ -120,17 +121,13 @@ impl MigrationChaosReport {
             f.duplicated,
             f.reordered,
             f.crash_lost,
-            json_str_array(&self.divergences),
-            json_str_array(&self.sentinel_alerts),
+            json_array(&self.divergences),
+            json_array(&self.sentinel_alerts),
             self.sentinel_critical,
             self.sentinel_flight_dumps,
             json_str(&hex(&self.transcript)),
         )
     }
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// Assert the exactly-once invariant and the oracle diff for `vm`.
@@ -190,17 +187,7 @@ pub fn run_migration_chaos(
     let mut report = MigrationChaosReport {
         seed: hex(seed),
         rounds: cfg.rounds,
-        committed: 0,
-        aborted: 0,
-        rejected_stale: 0,
-        crashes: 0,
-        rebalance_moves: 0,
-        fabric: FabricStats::default(),
-        divergences: Vec::new(),
-        sentinel_alerts: Vec::new(),
-        sentinel_critical: 0,
-        sentinel_flight_dumps: 0,
-        transcript: [0; 32],
+        ..Default::default()
     };
     let mut transcript: Vec<u8> = Vec::new();
     let mut sentinel = Sentinel::new(SentinelConfig::default());
@@ -389,7 +376,7 @@ pub struct MatrixCell {
 }
 
 /// Result of the exhaustive crash-at-every-step matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrashMatrixReport {
     /// Hex of the seed.
     pub seed: String,
@@ -431,7 +418,7 @@ impl CrashMatrixReport {
             json_str(&self.seed),
             cells.join(","),
             self.replays_rejected,
-            json_str_array(&self.failures),
+            json_array(&self.failures),
             self.sentinel_critical,
             json_str(&hex(&self.transcript)),
         )
@@ -444,11 +431,7 @@ impl CrashMatrixReport {
 pub fn run_crash_matrix(seed: &[u8], sealed: bool) -> XenResult<CrashMatrixReport> {
     let mut report = CrashMatrixReport {
         seed: hex(seed),
-        cells: Vec::new(),
-        replays_rejected: 0,
-        failures: Vec::new(),
-        sentinel_critical: 0,
-        transcript: [0; 32],
+        ..Default::default()
     };
     let mut transcript: Vec<u8> = Vec::new();
 

@@ -147,6 +147,29 @@ pub fn hist_json(h: &HistogramSnapshot) -> String {
     )
 }
 
+/// Quote `s` as a JSON string: quotes, backslashes, `\n` and `\t`
+/// get their short escapes, other control characters `\u00XX` — the
+/// single shared string encoder behind the chaos reports and the
+/// `repro --json` artifacts.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Render drained spans as a Chrome trace-event document (JSON object
 /// with a `traceEvents` array of `ph: "X"` complete events), loadable
 /// in `chrome://tracing` or <https://ui.perfetto.dev>.
@@ -367,6 +390,15 @@ mod tests {
         }
         t.note_ring_exchange(64, 32);
         t
+    }
+
+    #[test]
+    fn string_encoder_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(json_str("plain"), r#""plain""#);
+        assert_eq!(json_str("a\"b"), r#""a\"b""#);
+        assert_eq!(json_str("a\\b"), r#""a\\b""#);
+        assert_eq!(json_str("a\nb\tc"), r#""a\nb\tc""#);
+        assert_eq!(json_str("\u{1}"), r#""\u0001""#);
     }
 
     #[test]

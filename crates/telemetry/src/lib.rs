@@ -37,7 +37,7 @@ mod ring;
 mod rollup;
 
 pub use attest::{AttestSnapshot, AttestTelemetry, QuoteSpanRecord, QUOTE_STAGE_LABELS};
-pub use export::{chrome_trace, cluster_chrome_trace, hist_json, prom_summary};
+pub use export::{chrome_trace, cluster_chrome_trace, hist_json, json_str, prom_summary};
 pub use fleet::{FleetSnapshot, FleetTelemetry, FLEET_STAGE_LABELS};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use migration::{

@@ -1,85 +1,34 @@
 #!/usr/bin/env bash
-# Performance trajectory artifacts (machine-readable, one JSON file per
-# subsystem, committed nowhere — diff them across checkouts).
+# Performance trajectory artifacts at full size: one machine-readable
+# JSON object per gated experiment, written by `repro <exp> --json` to
+# ${BENCH_OUT:-target/bench}/BENCH_<exp>.json (diff them across
+# checkouts). Each object carries "exp", "quick" and "gate" plus the
+# experiment's own fields; the text table goes to the terminal.
 #
-# Currently emits:
-#   BENCH_sentinel.json — sentinel plane numbers: the R-D1 scripted-
-#   injection detection results (detected / detector / virtual-time
-#   latency / events-to-detection), the false-positive count over an
-#   attack-free sweep, wall ns per stream event through the full engine
-#   (flight recorder + all five detectors), and R-O1's telemetry
-#   self-overhead percentage. The binary exits nonzero if the R-D1 gate
-#   fails, so this doubles as a slow-path check.
+#   BENCH_o1.json — R-O1 telemetry self-overhead per command class
+#   BENCH_m1.json — R-M1 migration downtime vs state size
+#   BENCH_d1.json — R-D1 sentinel detection + engine ns per event
+#   BENCH_p1.json — R-P1 manager scaling sweep (read/mutate ns per cmd)
+#   BENCH_c1.json — R-C1 crypto floor (RSA/AES/SHA) + thresholds
+#   BENCH_a1.json — R-A1 attestation issuance/verification/defense
+#   BENCH_m2.json — R-M2 fleet churn sweep + detector/tick costs
+#   BENCH_o2.json — R-O2 fleet observatory fidelity/loop/overhead
 #
-#   BENCH_manager.json — Dom0 manager scaling numbers: the R-P1 sweep
-#   (read/mutate wall ns per command at 100/1k/10k resident instances,
-#   per-command vs group-commit flush policy, staging/commit/flush
-#   amortization counters) and the scaling-ratio gate. The binary exits
-#   nonzero if the 10k-vs-100 read-path ratio exceeds 1.5x.
-#
-#   BENCH_crypto.json — crypto-floor numbers: the R-C1 measurement set
-#   (optimized vs schoolbook RSA-1024 private op and the speedup ratio,
-#   pipelined vs scalar AES-128-CTR MB/s, SHA-256 bulk MB/s and 40-byte
-#   ns) plus the gate thresholds. The binary exits nonzero if the RSA
-#   speedup drops below 4x, the private op exceeds its absolute
-#   ceiling, or pipelined CTR falls below its MB/s floor.
-#
-#   BENCH_attest.json — attestation-plane numbers: the R-A1 measurement
-#   set (per-request vs batched+cached issuance qps and the speedup,
-#   farm-scale verification throughput with p50/p99 latency, and the
-#   seeded defense scenarios' refusal/throttle/alert counts). The
-#   binary exits nonzero if the R-A1 gate fails.
-#
-#   BENCH_fleet.json — fleet control-plane numbers: the R-M2 churn
-#   sweep (per-seed committed/conflict/suspect counts, cluster-wide
-#   p99 quiesce->commit blackout in virtual time, exactly-once
-#   accounting, byte-identical replays), wall ns per heartbeat through
-#   the phi-accrual estimator at fleet width, and wall ns per
-#   controller tick at bench scale. The binary exits nonzero if the
-#   R-M2 gate fails.
-#
-#   BENCH_observatory.json — fleet observatory numbers: the R-O2 set
-#   (attack-free chaos seeds with scrape/burn/false-suspect counts and
-#   replay verdicts, merged cross-host p99 vs exact per-span ground
-#   truth with the 1/16 bound, the injected blackout regression's
-#   burn->pause->clear->resume loop verdicts, and wall ns per
-#   scrape+evaluate pass against the controller's heartbeat period).
-#   The binary exits nonzero if the R-O2 gate fails.
+# Exits nonzero as soon as an experiment's gate fails. The CI-sized
+# artifacts come from `scripts/ci.sh`, which writes the same files.
 #
 # Usage:
-#   scripts/bench.sh             # full sizes
-#   scripts/bench.sh --quick     # CI-sized
+#   scripts/bench.sh
 #   BENCH_OUT=/tmp scripts/bench.sh   # artifact directory
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out_dir="${BENCH_OUT:-.}"
-quick=()
-if [ "${1:-}" = "--quick" ]; then
-    quick=(--quick)
-fi
+out_dir="${BENCH_OUT:-target/bench}"
+mkdir -p "$out_dir"
 
-echo "== sentinel bench -> ${out_dir}/BENCH_sentinel.json =="
-cargo run --release -p vtpm-bench --bin sentinel_bench -- \
-    "${quick[@]}" --out "${out_dir}/BENCH_sentinel.json"
-
-echo "== manager bench -> ${out_dir}/BENCH_manager.json =="
-cargo run --release -p vtpm-bench --bin manager_bench -- \
-    "${quick[@]}" --out "${out_dir}/BENCH_manager.json"
-
-echo "== crypto bench -> ${out_dir}/BENCH_crypto.json =="
-cargo run --release -p vtpm-bench --bin crypto_bench -- \
-    "${quick[@]}" --out "${out_dir}/BENCH_crypto.json"
-
-echo "== attest bench -> ${out_dir}/BENCH_attest.json =="
-cargo run --release -p vtpm-bench --bin attest_bench -- \
-    "${quick[@]}" --out "${out_dir}/BENCH_attest.json"
-
-echo "== fleet bench -> ${out_dir}/BENCH_fleet.json =="
-cargo run --release -p vtpm-bench --bin fleet_bench -- \
-    "${quick[@]}" --out "${out_dir}/BENCH_fleet.json"
-
-echo "== observatory bench -> ${out_dir}/BENCH_observatory.json =="
-cargo run --release -p vtpm-bench --bin observatory_bench -- \
-    "${quick[@]}" --out "${out_dir}/BENCH_observatory.json"
+for exp in o1 m1 d1 p1 c1 a1 m2 o2; do
+    echo "== repro $exp -> ${out_dir}/BENCH_${exp}.json =="
+    cargo run --release -p vtpm-bench --bin repro -- "$exp" --json \
+        > "${out_dir}/BENCH_${exp}.json"
+done

@@ -54,6 +54,11 @@
 #      controller's heartbeat period (the R-O1 self-overhead budget,
 #      lifted to the fleet plane).
 #
+# Every gated `repro` step runs with `--json`: the table goes to the
+# log (stderr) and the experiment's artifact to
+# target/bench/BENCH_<exp>.json, so a green run leaves the CI-sized
+# trajectory behind (`scripts/bench.sh` writes the full-size one).
+#
 # Usage:
 #   scripts/ci.sh            # full gate
 #   CHAOS_JOBS=4 scripts/ci.sh
@@ -61,11 +66,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+mkdir -p target/bench
+# repro <exp> [--quick]: run one gated experiment, artifact to
+# target/bench/BENCH_<exp>.json; exits nonzero if its gate fails.
+repro() {
+    cargo run --release -p vtpm-bench --bin repro -- "$@" --json \
+        > "target/bench/BENCH_$1.json"
+}
+
 echo "== tier-1: release build =="
-# --workspace, not bare `cargo build --release`: the bare form builds
-# only the root package and would let workspace-member crates (bench
-# bins, harness, observatory) rot uncompiled.
-cargo build --release --workspace
+# --workspace --all-targets, not bare `cargo build --release`: the bare
+# form builds only the root package and would let workspace-member
+# crates (repro, harness, observatory), examples and test targets rot
+# uncompiled.
+cargo build --release --workspace --all-targets
 
 echo "== tier-1: tests =="
 cargo test -q
@@ -78,35 +92,35 @@ cargo run --release -p vtpm-harness --bin chaos -- \
     --seeds 8 --base ci-mig --family migration --matrix
 
 echo "== R-O1: telemetry overhead budget (hard 3% gate) =="
-cargo run --release -p vtpm-bench --bin repro -- o1
+repro o1
 
 echo "== R-M1: migration downtime budget (sealing premium <= 7ms) =="
-cargo run --release -p vtpm-bench --bin repro -- m1 --quick
+repro m1 --quick
 
 echo "== R-D1: sentinel smoke (zero clean-seed FPs, all injections detected) =="
-cargo run --release -p vtpm-bench --bin repro -- d1 --quick
+repro d1 --quick
 
 echo "== R-P1: manager scaling budget (10k/100-instance read path <= 1.5x) =="
-cargo run --release -p vtpm-bench --bin repro -- p1 --quick
+repro p1 --quick
 
 echo "== R-C1: crypto floor (RSA speedup >= 4x, CTR >= 40 MB/s) =="
-cargo run --release -p vtpm-bench --bin repro -- c1 --quick
+repro c1 --quick
 
 echo "== attest chaos smoke: 8 seeds, replayed twice each =="
 cargo run --release -p vtpm-harness --bin chaos -- \
     --seeds 8 --base ci-att --family attest
 
 echo "== R-A1: attestation plane (cached qps >= 3x, clean defense sweep) =="
-cargo run --release -p vtpm-bench --bin repro -- a1 --quick
+repro a1 --quick
 
 echo "== fleet chaos smoke: 8 seeds, replayed twice each =="
 cargo run --release -p vtpm-harness --bin chaos -- \
     --seeds 8 --base ci-fleet --family fleet
 
 echo "== R-M2: fleet churn sweep (exactly-once accounting, single-winner conflicts) =="
-cargo run --release -p vtpm-bench --bin repro -- m2 --quick
+repro m2 --quick
 
 echo "== R-O2: fleet observatory (zero false burns, SLO closed loop, <= 3% overhead) =="
-cargo run --release -p vtpm-bench --bin repro -- o2 --quick
+repro o2 --quick
 
 echo "CI gate passed."
