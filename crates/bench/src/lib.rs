@@ -136,9 +136,9 @@ mod tests {
         assert_keys(
             &doc,
             &[
-                "exp", "quick", "gate", "read_cmds", "mutate_cmds", "points", "overhead_ratio",
-                "budget_ratio", "instances", "policy", "read_ns_per_cmd", "mutate_ns_per_cmd",
-                "staged_updates", "batched_commits", "flushes", "data_pages_written",
+                "exp", "quick", "gate", "read_cmds", "mutate_cmds", "read_passes", "points",
+                "overhead_ratio", "budget_ratio", "instances", "read_ns_per_cmd", "read_ratio",
+                "pass_ratio_min", "pass_ratio_max", "mutate_ns_per_cmd", "data_pages_written",
             ],
         );
 

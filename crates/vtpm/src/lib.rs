@@ -52,7 +52,7 @@ pub use hook::{AccessDecision, AccessHook, DenyReason, RequestContext, StockHook
 pub use instance::{InstanceId, InstanceStats, VtpmInstance};
 pub use manager::{ManagerConfig, ManagerStats, ManagerStatsSnapshot, RecoveryReport, VtpmManager};
 pub use migration::{MigrationError, MigrationPackage};
-pub use mirror::{FlushPolicy, MirrorIoStats, MirrorMode, MirrorRecovery, StateMirror};
+pub use mirror::{MirrorIoStats, MirrorMode, MirrorRecovery, StateMirror};
 pub use persist::{persist, restore, PersistError};
 pub use platform::{Guest, Platform, HW_OWNER_AUTH, HW_SRK_AUTH};
 pub use server::ManagerServer;

@@ -58,22 +58,13 @@
 //! the 32-bit nonce counter field are refused ([`XenError::BadImage`])
 //! instead of silently wrapping the nonce space.
 //!
-//! **Group commit.** Under a batched [`FlushPolicy`] an update *stages*
-//! its generation — dirty pages land durably in shadow slots, but the
-//! metadata write that publishes them is deferred — and a later
-//! [`StateMirror::flush`] commits every staged region in one pass,
-//! ascending id order. Staging is invisible to readers and to recovery
-//! (the committed metadata still describes the previous generation), so
-//! a crash anywhere in the window leaves each instance exactly pre- or
-//! post-batch, and the ascending-id commit order makes the post set a
-//! deterministic prefix of the batch. At most one staged generation may
-//! exist per region — a second mutation first commits the staged one —
-//! which is what keeps `attempted <= committed + 1` intact; the
-//! amortization therefore comes from coalescing *across instances*
-//! (one flush pass, one lock round per region), never from stacking
-//! generations of one instance. The default policy
-//! ([`FlushPolicy::per_command`]) commits inline inside `update` with a
-//! write sequence byte-identical to the unbatched pipeline.
+//! **Failed commits retry idempotently.** When the metadata write itself
+//! fails, every dirty page of the new generation has already landed in
+//! its shadow slot. The region keeps that *staged* generation, and the
+//! next `update` re-commits the identical metadata before staging
+//! anything new, so the retry consumes no fresh nonce. A region holds at
+//! most one staged generation at any instant, which is what keeps
+//! `attempted <= committed + 1` intact.
 //!
 //! **Hygiene.** After the commit, replaced slots and the slots of dropped
 //! pages are zeroed, so no byte of a previous, committed generation
@@ -93,7 +84,7 @@
 //! `generation + 1`, guaranteeing future writes never reuse a (page,
 //! counter) pair even across crash/restart cycles.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -124,54 +115,6 @@ pub enum MirrorMode {
     Encrypted,
 }
 
-/// When the group-commit pipeline publishes staged generations.
-///
-/// The default ([`FlushPolicy::per_command`]) disables batching: every
-/// `update` commits its metadata inline, with a write sequence
-/// byte-identical to the unbatched pipeline. A batched policy defers
-/// the metadata write until any threshold trips (a zero byte/age
-/// threshold means "no such threshold").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushPolicy {
-    /// Flush once the batch has durably staged this many bytes
-    /// (0 = no byte threshold).
-    pub max_batch_bytes: u64,
-    /// Flush once this many instances hold a staged generation.
-    /// 0 disables batching entirely (per-command inline commits).
-    pub max_batch_instances: usize,
-    /// Flush once the oldest staged generation is this many virtual
-    /// nanoseconds old (0 = no age threshold).
-    pub max_age_ns: u64,
-}
-
-impl Default for FlushPolicy {
-    fn default() -> Self {
-        Self::per_command()
-    }
-}
-
-impl FlushPolicy {
-    /// No batching: every update commits inline (the default).
-    pub const fn per_command() -> Self {
-        FlushPolicy { max_batch_bytes: 0, max_batch_instances: 0, max_age_ns: 0 }
-    }
-
-    /// A batched policy. `max_batch_instances` is clamped to at least 1
-    /// (0 is the per-command sentinel).
-    pub const fn batched(max_batch_bytes: u64, max_batch_instances: usize, max_age_ns: u64) -> Self {
-        FlushPolicy {
-            max_batch_bytes,
-            max_batch_instances: if max_batch_instances == 0 { 1 } else { max_batch_instances },
-            max_age_ns,
-        }
-    }
-
-    /// Whether updates commit inline instead of staging for a flush.
-    pub fn is_per_command(&self) -> bool {
-        self.max_batch_instances == 0
-    }
-}
-
 struct Region {
     /// The metadata frame, allocated on the first non-empty update.
     meta_mfn: Option<usize>,
@@ -199,21 +142,21 @@ struct Region {
     cache: Vec<u8>,
     /// Scrubbed frames freed by shrinks, kept for regrow reuse.
     spare: Vec<usize>,
-    /// A staged — written but uncommitted — generation awaiting its
-    /// flush (batched policies only; `None` under per-command commits).
+    /// A staged generation whose metadata commit failed after all its
+    /// pages landed; the next `update` re-commits it before staging
+    /// anew. `None` whenever the last commit succeeded.
     staged: Option<Staged>,
 }
 
 /// A fully staged generation: every dirty page already landed durably
 /// in its shadow slot, but the metadata frame still describes the
 /// previous generation. `commit_locked` publishes it with one atomic
-/// metadata write. At most one exists per region at any instant — that
-/// is what keeps `attempted <= committed + 1`.
+/// metadata write. A region retains one only after that write failed,
+/// and at most one at any instant — that is what keeps
+/// `attempted <= committed + 1`.
 struct Staged {
     /// The generation the staged pages were encrypted under.
     gen: u64,
-    /// Payload length of the staged image.
-    len: usize,
     /// Per-page write counters once this generation commits.
     counters: Vec<u32>,
     /// Per-page stored-bytes digests once this generation commits.
@@ -222,9 +165,6 @@ struct Staged {
     targets: Vec<(usize, u8)>,
     /// Plaintext of the staged image (the diff cache after commit).
     state: Vec<u8>,
-    /// Bytes durably written while staging (shadow pages plus any
-    /// generation burn) — the caller's return value.
-    staged_bytes: u64,
 }
 
 /// Shards in the striped region table (a power of two: ids map to
@@ -271,18 +211,6 @@ impl RegionTable {
         ids.sort_unstable();
         ids
     }
-}
-
-/// Instances holding a staged generation, awaiting the next flush.
-#[derive(Default)]
-struct PendingBatch {
-    /// Staged instance ids, ascending — the flush's commit order.
-    ids: BTreeSet<u32>,
-    /// Bytes durably staged across the batch (coarse: reset when the
-    /// batch drains empty).
-    bytes: u64,
-    /// Virtual time the batch's first staging happened.
-    opened_ns: u64,
 }
 
 /// A parsed per-page metadata entry.
@@ -352,7 +280,7 @@ fn parse_meta(meta: &[u8]) -> Option<(u32, u64, usize, [u8; 8], Vec<MetaEntry>)>
 }
 
 /// Mirror write-path counters (all monotonic; snapshot with
-///// [`StateMirror::io_stats`]). The benches report bytes-per-command from
+/// [`StateMirror::io_stats`]). The benches report bytes-per-command from
 /// these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MirrorIoStats {
@@ -376,13 +304,6 @@ pub struct MirrorIoStats {
     /// each one is a retry after a mirror failure, re-committing the old
     /// image's metadata before consuming fresh CTR nonces.
     pub retried_generation_burns: u64,
-    /// Updates that staged under a batched policy (commit deferred to a
-    /// flush) instead of committing inline.
-    pub staged_updates: u64,
-    /// Staged generations published by a flush pass.
-    pub batched_commits: u64,
-    /// Group-commit flush passes over the pending batch.
-    pub flushes: u64,
 }
 
 #[derive(Default)]
@@ -395,9 +316,6 @@ struct IoCounters {
     bytes_written: AtomicU64,
     scrub_failures: AtomicU64,
     retried_generation_burns: AtomicU64,
-    staged_updates: AtomicU64,
-    batched_commits: AtomicU64,
-    flushes: AtomicU64,
 }
 
 /// The mirror. One per manager.
@@ -410,10 +328,6 @@ pub struct StateMirror {
     hv: Arc<Hypervisor>,
     mode: MirrorMode,
     regions: RegionTable,
-    /// Active flush policy (default: per-command inline commits).
-    policy: RwLock<FlushPolicy>,
-    /// Instances with staged, unflushed generations.
-    pending: Mutex<PendingBatch>,
     /// AES key (Encrypted mode). Also written to `key_frame` so the
     /// "protected memory" story is literal: the only in-simulation copy
     /// of the key sits in a frame the dump facility refuses to read.
@@ -485,8 +399,6 @@ impl StateMirror {
             hv,
             mode,
             regions: RegionTable::new(),
-            policy: RwLock::new(FlushPolicy::per_command()),
-            pending: Mutex::new(PendingBatch::default()),
             master_cipher: key.as_ref().map(Aes128::new),
             master_key: key,
             key_frame,
@@ -560,27 +472,7 @@ impl StateMirror {
             bytes_written: self.io.bytes_written.load(Ordering::Relaxed),
             scrub_failures: self.io.scrub_failures.load(Ordering::Relaxed),
             retried_generation_burns: self.io.retried_generation_burns.load(Ordering::Relaxed),
-            staged_updates: self.io.staged_updates.load(Ordering::Relaxed),
-            batched_commits: self.io.batched_commits.load(Ordering::Relaxed),
-            flushes: self.io.flushes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Replace the flush policy. Takes effect for subsequent updates;
-    /// anything already staged commits under the new thresholds (or via
-    /// an explicit [`StateMirror::flush`]).
-    pub fn set_flush_policy(&self, policy: FlushPolicy) {
-        *self.policy.write() = policy;
-    }
-
-    /// The active flush policy.
-    pub fn flush_policy(&self) -> FlushPolicy {
-        *self.policy.read()
-    }
-
-    /// Instance ids with a staged, unflushed generation (ascending).
-    pub fn pending_instances(&self) -> Vec<u32> {
-        self.pending.lock().ids.iter().copied().collect()
     }
 
     /// Fetch or create the per-instance region handle. Only the id's
@@ -684,55 +576,42 @@ impl StateMirror {
     /// data pages plus metadata commits (including a retry's generation
     /// burn), excluding post-commit hygiene scrubs — which telemetry
     /// records as mirror-bytes-per-command. A clean update returns 0.
-    /// Under a batched policy the metadata commit is deferred to a
-    /// flush, so the returned count covers the staged pages only.
+    /// The idempotent re-commit of a previously failed generation is
+    /// not counted.
     pub fn update(&self, id: u32, state: &[u8]) -> XenResult<u64> {
         let data_pages = state.len().div_ceil(PAGE_SIZE);
         if data_pages > MAX_DATA_PAGES {
             return Err(XenError::OutOfMemory);
         }
-        let per_command = self.policy.read().is_per_command();
         let handle = self.region_handle(id);
         let mut region = handle.lock();
         self.io.updates.fetch_add(1, Ordering::Relaxed);
 
         // At most one staged generation may exist per region (that is
-        // the `attempted <= committed + 1` invariant): publish any
-        // previous staged generation before staging anew.
-        if region.staged.is_some() {
-            self.commit_locked(id, &mut region)?;
-            self.dequeue(id);
+        // the `attempted <= committed + 1` invariant): publish one a
+        // failed commit left behind before staging anew.
+        if let Some(staged) = region.staged.take() {
+            self.commit_locked(id, &mut region, staged)?;
         }
 
-        let Some(staged) = self.stage_locked(id, &mut region, state)? else {
+        let Some((staged, staged_bytes)) = self.stage_locked(id, &mut region, state)? else {
             self.io.clean_updates.fetch_add(1, Ordering::Relaxed);
             return Ok(0);
         };
-        let staged_bytes = staged.staged_bytes;
-        region.staged = Some(staged);
-
-        if per_command {
-            let commit_bytes = self.commit_locked(id, &mut region)?;
-            return Ok(staged_bytes + commit_bytes);
-        }
-
-        self.io.staged_updates.fetch_add(1, Ordering::Relaxed);
-        let due = self.enqueue(id, staged_bytes);
-        drop(region);
-        if due {
-            self.flush()?;
-        }
-        Ok(staged_bytes)
+        self.commit_locked(id, &mut region, staged)?;
+        Ok(staged_bytes + PAGE_SIZE as u64)
     }
 
     /// Stage `state` as the region's next generation: grow the backing
     /// frames, durably burn a failed earlier attempt if one is pending,
     /// and write every dirty page into its shadow slot. Returns `None`
     /// when nothing is dirty (no page written at all). On `Some`, the
-    /// record is ready for `commit_locked`; `region.attempted` already
-    /// names the staged generation, so a failure from here on follows
-    /// the ordinary burn-on-retry path.
-    fn stage_locked(&self, id: u32, region: &mut Region, state: &[u8]) -> XenResult<Option<Staged>> {
+    /// record is ready for `commit_locked`, paired with the bytes
+    /// durably written while staging (shadow pages plus any generation
+    /// burn); `region.attempted` already names the staged generation,
+    /// so a failure from here on follows the ordinary burn-on-retry
+    /// path.
+    fn stage_locked(&self, id: u32, region: &mut Region, state: &[u8]) -> XenResult<Option<(Staged, u64)>> {
         let data_pages = state.len().div_ceil(PAGE_SIZE);
         let old_pages = region.len.div_ceil(PAGE_SIZE);
         let dirty: Vec<usize> = (0..data_pages)
@@ -812,43 +691,39 @@ impl StateMirror {
             targets.push((i, target));
         }
 
-        Ok(Some(Staged {
+        let staged = Staged {
             gen: next_gen,
-            len: state.len(),
             counters: new_counters,
             digests: new_digests,
             targets,
             state: state.to_vec(),
-            staged_bytes: bytes_this_update,
-        }))
+        };
+        Ok(Some((staged, bytes_this_update)))
     }
 
-    /// Publish the region's staged generation: build the new metadata
-    /// and commit it with one atomic page write, fold the generation
-    /// into the in-memory region, then do the post-commit hygiene
-    /// scrubs. On failure the staged record is restored untouched —
-    /// every staged page already landed durably, so a retry rewrites
-    /// the *identical* metadata bytes and consumes no new nonce.
-    /// Returns the commit's durable bytes (the metadata page).
-    fn commit_locked(&self, id: u32, region: &mut Region) -> XenResult<u64> {
-        let staged = region.staged.take().expect("commit_locked requires a staged generation");
-        let data_pages = staged.len.div_ceil(PAGE_SIZE);
-        let mut target_of = vec![None; data_pages];
+    /// Publish a staged generation: build the new metadata and commit it
+    /// with one atomic page write, fold the generation into the
+    /// in-memory region, then do the post-commit hygiene scrubs. On
+    /// failure the region keeps the staged record untouched — every
+    /// staged page already landed durably, so a retry rewrites the
+    /// *identical* metadata bytes and consumes no new nonce.
+    fn commit_locked(&self, id: u32, region: &mut Region, staged: Staged) -> XenResult<()> {
+        let len = staged.state.len();
+        let data_pages = len.div_ceil(PAGE_SIZE);
+        // The active slot of every page once this generation commits.
+        let mut active = region.active.clone();
         for &(i, t) in &staged.targets {
-            target_of[i] = Some(t);
+            active[i] = t;
         }
         let entries: Vec<MetaEntry> = (0..data_pages)
-            .map(|i| {
-                let act = target_of[i].unwrap_or(region.active[i]);
-                MetaEntry {
-                    active_mfn: region.slots[i][act as usize] as u32,
-                    shadow_mfn: region.slots[i][1 - act as usize] as u32,
-                    counter: staged.counters[i],
-                    digest: staged.digests[i],
-                }
+            .map(|i| MetaEntry {
+                active_mfn: region.slots[i][active[i] as usize] as u32,
+                shadow_mfn: region.slots[i][1 - active[i] as usize] as u32,
+                counter: staged.counters[i],
+                digest: staged.digests[i],
             })
             .collect();
-        let meta = build_meta(id, staged.gen, staged.len as u64, self.key_check_tag(id), &entries);
+        let meta = build_meta(id, staged.gen, len as u64, self.key_check_tag(id), &entries);
         let meta_mfn = region.meta_mfn.expect("staged generation implies a meta frame");
         if let Err(e) = self.hv.page_write(DomainId::DOM0, meta_mfn, 0, &meta) {
             region.staged = Some(staged);
@@ -864,12 +739,10 @@ impl StateMirror {
         let old_pages = region.len.div_ceil(PAGE_SIZE);
         region.generation = staged.gen;
         region.attempted = staged.gen;
-        for &(i, t) in &staged.targets {
-            region.active[i] = t;
-        }
+        region.active = active;
         region.page_counters = staged.counters;
         region.page_digests = staged.digests;
-        region.len = staged.len;
+        region.len = len;
         region.cache = staged.state;
 
         // Post-commit hygiene: zero the replaced slots of rewritten
@@ -893,62 +766,6 @@ impl StateMirror {
             self.scrub_frame_best_effort(b);
             region.spare.push(a);
             region.spare.push(b);
-        }
-        Ok(PAGE_SIZE as u64)
-    }
-
-    /// Record a freshly staged instance in the pending batch and report
-    /// whether the policy says the batch is due. Called with the region
-    /// lock held — region before pending is the lock order everywhere.
-    fn enqueue(&self, id: u32, staged_bytes: u64) -> bool {
-        let policy = *self.policy.read();
-        let now = self.hv.clock.now_ns();
-        let mut pending = self.pending.lock();
-        if pending.ids.is_empty() {
-            pending.opened_ns = now;
-        }
-        pending.ids.insert(id);
-        pending.bytes += staged_bytes;
-        let instances_due = pending.ids.len() >= policy.max_batch_instances.max(1);
-        let bytes_due = policy.max_batch_bytes > 0 && pending.bytes >= policy.max_batch_bytes;
-        let age_due =
-            policy.max_age_ns > 0 && now.saturating_sub(pending.opened_ns) >= policy.max_age_ns;
-        instances_due || bytes_due || age_due
-    }
-
-    /// Drop a committed (or discarded) instance from the pending batch.
-    fn dequeue(&self, id: u32) {
-        let mut pending = self.pending.lock();
-        if pending.ids.remove(&id) && pending.ids.is_empty() {
-            pending.bytes = 0;
-        }
-    }
-
-    /// The group-commit point: publish every staged generation,
-    /// ascending instance id. Stops at the first commit failure, leaving
-    /// that instance and everything after it staged for an idempotent
-    /// retry; instances already committed stay committed — which is what
-    /// makes the crash matrix's post-batch set a deterministic
-    /// ascending-id prefix of the batch.
-    pub fn flush(&self) -> XenResult<()> {
-        let ids: Vec<u32> = self.pending.lock().ids.iter().copied().collect();
-        if ids.is_empty() {
-            return Ok(());
-        }
-        self.io.flushes.fetch_add(1, Ordering::Relaxed);
-        for id in ids {
-            let Some(handle) = self.regions.get(id) else {
-                self.dequeue(id);
-                continue;
-            };
-            let mut region = handle.lock();
-            if region.staged.is_none() {
-                self.dequeue(id);
-                continue;
-            }
-            self.commit_locked(id, &mut region)?;
-            self.io.batched_commits.fetch_add(1, Ordering::Relaxed);
-            self.dequeue(id);
         }
         Ok(())
     }
@@ -987,8 +804,6 @@ impl StateMirror {
         }
         drop(region);
         table.remove(&id);
-        drop(table);
-        self.dequeue(id);
         Ok(())
     }
 
@@ -1066,8 +881,6 @@ impl StateMirror {
         }
         drop(region);
         table.remove(&id);
-        drop(table);
-        self.dequeue(id);
         Ok(())
     }
 
@@ -1699,118 +1512,54 @@ mod tests {
     }
 
     #[test]
-    fn batched_updates_commit_on_flush() {
-        let hv = hv();
-        let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Encrypted, [0x21; 16]).unwrap();
-        m.update(1, b"instance one, gen one").unwrap();
-        m.update(2, b"instance two, gen one").unwrap();
-        m.set_flush_policy(FlushPolicy::batched(0, 8, 0));
-
-        // Stage both: data pages land, metadata stays at the old
-        // generation, so a read still returns the committed image.
-        m.update(1, b"instance one, gen two").unwrap();
-        m.update(2, b"instance two, gen two").unwrap();
-        assert_eq!(m.pending_instances(), vec![1, 2]);
-        assert_eq!(m.read(1).unwrap(), b"instance one, gen one");
-        assert_eq!(m.read(2).unwrap(), b"instance two, gen one");
-        assert_eq!(m.generation(1), Some(1));
-
-        m.flush().unwrap();
-        assert_eq!(m.pending_instances(), Vec::<u32>::new());
-        assert_eq!(m.read(1).unwrap(), b"instance one, gen two");
-        assert_eq!(m.read(2).unwrap(), b"instance two, gen two");
-        assert_eq!(m.generation(1), Some(2));
-        let io = m.io_stats();
-        assert_eq!(io.staged_updates, 2);
-        assert_eq!(io.batched_commits, 2);
-        assert_eq!(io.flushes, 1);
-        assert_eq!(m.nonce_reuses(), 0);
-    }
-
-    #[test]
-    fn instance_threshold_reached_flushes_inline() {
-        let hv = hv();
-        let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Cleartext, [0; 16]).unwrap();
-        m.set_flush_policy(FlushPolicy::batched(0, 2, 0));
-        m.update(1, b"a").unwrap();
-        assert_eq!(m.pending_instances(), vec![1], "below threshold: staged");
-        // The second staged instance trips max_batch_instances = 2.
-        m.update(2, b"b").unwrap();
-        assert_eq!(m.pending_instances(), Vec::<u32>::new());
-        assert_eq!(m.read(1).unwrap(), b"a");
-        assert_eq!(m.read(2).unwrap(), b"b");
-        assert_eq!(m.io_stats().flushes, 1);
-    }
-
-    #[test]
-    fn second_update_to_staged_region_commits_the_first() {
-        // Only one staged generation may exist per region — the nonce
-        // invariant `attempted <= committed + 1` depends on it.
-        let hv = hv();
-        let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Encrypted, [0x22; 16]).unwrap();
-        m.enable_nonce_audit();
-        m.set_flush_policy(FlushPolicy::batched(0, 8, 0));
-        m.update(7, b"first staged generation").unwrap();
-        assert_eq!(m.generation(7), Some(0), "still uncommitted");
-        m.update(7, b"second staged generation").unwrap();
-        assert_eq!(m.generation(7), Some(1), "restage published the first");
-        m.flush().unwrap();
-        assert_eq!(m.generation(7), Some(2));
-        assert_eq!(m.read(7).unwrap(), b"second staged generation");
-        assert_eq!(m.nonce_reuses(), 0);
-    }
-
-    #[test]
-    fn flush_failure_keeps_staged_for_idempotent_retry() {
+    fn failed_commit_keeps_staged_for_idempotent_retry() {
         let hv = hv();
         let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Encrypted, [0x23; 16]).unwrap();
         m.enable_nonce_audit();
         m.update(1, b"one committed").unwrap();
-        m.update(2, b"two committed").unwrap();
-        m.set_flush_policy(FlushPolicy::batched(0, 8, 0));
-        m.update(1, b"one staged").unwrap();
-        m.update(2, b"two staged").unwrap();
 
-        // The flush commits id 1's metadata, then dies on id 2's: the
-        // ascending-id prefix stands, the rest stays staged.
+        // The shadow page lands, then the metadata commit dies: the old
+        // image stays readable and the new generation stays staged.
         hv.inject_write_crash(DomainId::DOM0, 1);
-        assert!(m.flush().is_err());
+        assert!(m.update(1, b"one staged").is_err());
         hv.clear_faults();
-        assert_eq!(m.read(1).unwrap(), b"one staged");
-        assert_eq!(m.read(2).unwrap(), b"two committed");
-        assert_eq!(m.pending_instances(), vec![2]);
+        assert_eq!(m.read(1).unwrap(), b"one committed");
+        assert_eq!(m.generation(1), Some(1));
 
-        // Retry is idempotent: the staged pages already landed, so the
-        // commit rewrites identical metadata and consumes no new nonce.
-        let data_before = m.io_stats().data_pages_written;
-        m.flush().unwrap();
-        assert_eq!(m.io_stats().data_pages_written, data_before);
-        assert_eq!(m.read(2).unwrap(), b"two staged");
-        assert_eq!(m.pending_instances(), Vec::<u32>::new());
+        // Retry is idempotent: the staged page already landed, so the
+        // next update re-commits identical metadata, writes no data page
+        // for the retained generation and burns nothing.
+        let before = m.io_stats();
+        m.update(1, b"one staged").unwrap();
+        let after = m.io_stats();
+        assert_eq!(after.data_pages_written, before.data_pages_written);
+        assert_eq!(after.retried_generation_burns, before.retried_generation_burns);
+        assert_eq!(m.read(1).unwrap(), b"one staged");
+        assert_eq!(m.generation(1), Some(2));
         assert_eq!(m.nonce_reuses(), 0);
     }
 
     #[test]
-    fn crash_with_staged_batch_recovers_committed_images() {
-        // A staged-but-unflushed generation must be invisible to
-        // recovery: the committed metadata still describes the old
-        // image, and recovery's shadow-slot scrub erases the staged
-        // bytes.
+    fn crash_after_shadow_write_recovers_old_image_and_scrubs_it() {
+        // Crash at k = 1: the dirty page lands in its shadow slot, then
+        // the metadata write dies. The committed metadata still
+        // describes the old image, and recovery's shadow-slot scrub must
+        // erase the landed bytes. Cleartext, so they are greppable.
         let hv = hv();
-        let key = [0x24; 16];
-        let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Encrypted, key).unwrap();
+        let m = StateMirror::new(Arc::clone(&hv), MirrorMode::Cleartext, [0; 16]).unwrap();
         m.update(3, b"durable image").unwrap();
-        m.set_flush_policy(FlushPolicy::batched(0, 8, 0));
-        m.update(3, b"STAGED-ONLY-SECRET-BYTES").unwrap();
-        drop(m); // crash before any flush
+        hv.inject_write_crash(DomainId::DOM0, 1);
+        assert!(m.update(3, b"LANDED-UNCOMMITTED-BYTES").is_err());
+        hv.clear_faults();
+        assert!(contains(&dump_all(&hv), b"LANDED-UNCOMMITTED-BYTES"), "the shadow write landed");
+        drop(m);
 
-        let (rec, report) = StateMirror::recover(Arc::clone(&hv), MirrorMode::Encrypted, key).unwrap();
+        let (rec, report) = StateMirror::recover(Arc::clone(&hv), MirrorMode::Cleartext, [0; 16]).unwrap();
         assert_eq!(report.recovered, vec![3]);
         assert_eq!(rec.read(3).unwrap(), b"durable image");
-        let blob = dump_all(&hv);
         assert!(
-            !contains(&blob, b"STAGED-ONLY-SECRET-BYTES"),
-            "recovery must scrub staged shadow slots"
+            !contains(&dump_all(&hv), b"LANDED-UNCOMMITTED-BYTES"),
+            "recovery must scrub the landed shadow slot"
         );
     }
 

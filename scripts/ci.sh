@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The CI gate: everything a change must survive before merging.
 #
-#   1. tier-1: release build + the full test suite of the root package;
+#   1. tier-1: release build + the full test suite of the root package,
+#      then the `vtpm` and `vtpm-harness` crate tests (the mirror crash,
+#      nonce-burn and scrub tests live in `vtpm`);
 #   2. chaos smoke: 8 seeded fault scenarios through the full stack,
 #      each replayed twice (determinism) — parallel across cores;
 #   3. migration chaos smoke: 8 seeded multi-host migration scenarios
@@ -83,6 +85,9 @@ cargo build --release --workspace --all-targets
 
 echo "== tier-1: tests =="
 cargo test -q
+
+echo "== vtpm + harness crate tests =="
+cargo test --release -p vtpm -p vtpm-harness
 
 echo "== chaos smoke: 8 seeds, replayed twice each =="
 CHAOS_BASE=ci CHAOS_FAMILY=mirror scripts/chaos.sh 8

@@ -244,6 +244,33 @@ fn stats_snapshots_conserve_while_mixed_traffic_runs() {
         c
     };
 
+    // Traffic starts only after the sampler's first snapshot, so the
+    // sampler is already looping (not merely spawned) while it runs.
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let running = Arc::new(std::sync::Barrier::new(2));
+    let sampler = {
+        let mgr = Arc::clone(&mgr);
+        let stop = Arc::clone(&stop);
+        let running = Arc::clone(&running);
+        std::thread::spawn(move || {
+            let mut samples = 0u64;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                let s = mgr.stats_snapshot();
+                assert_eq!(
+                    s.handled + s.denied + s.errors + s.throttled,
+                    s.finished,
+                    "mid-traffic snapshot violated outcome conservation"
+                );
+                samples += 1;
+                if samples == 1 {
+                    running.wait();
+                }
+            }
+            samples
+        })
+    };
+    running.wait();
+
     const WORKERS: u64 = 3;
     const REQUESTS: u64 = 300;
     let mut handles = Vec::new();
@@ -303,24 +330,6 @@ fn stats_snapshots_conserve_while_mixed_traffic_runs() {
             }
         }));
     }
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let sampler = {
-        let mgr = Arc::clone(&mgr);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut samples = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let s = mgr.stats_snapshot();
-                assert_eq!(
-                    s.handled + s.denied + s.errors + s.throttled,
-                    s.finished,
-                    "mid-traffic snapshot violated outcome conservation"
-                );
-                samples += 1;
-            }
-            samples
-        })
-    };
     for h in handles {
         h.join().unwrap();
     }
