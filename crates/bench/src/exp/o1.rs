@@ -1,16 +1,14 @@
 //! R-O1: telemetry self-overhead on the manager's request path.
 //!
 //! Not a figure from the paper — it validates this repo's own
-//! observability subsystem. The claim under test: with the `telemetry`
-//! feature compiled in (the default), the per-command cost of span
-//! minting, stage stamping, histogram updates, and the span-ring push
-//! is at most [`BUDGET_PCT`] of the median command latency, per command
-//! class. Compiled *out*, the cost is zero by construction
-//! (`VtpmManager::telemetry()` is statically `None` and every
-//! instrumentation block folds away), so the runtime comparison here is
-//! enabled vs runtime-disabled registries inside one binary — the
-//! disabled manager takes the identical code path minus the registry
-//! work, which is exactly the increment the budget bounds.
+//! observability subsystem. The claim under test: with the registry
+//! enabled (`ManagerConfig::telemetry_enabled`, the default), the
+//! per-command cost of span minting, stage stamping, histogram updates,
+//! and the span-ring push is at most [`BUDGET_PCT`] of the median
+//! command latency, per command class. The comparison is enabled vs
+//! runtime-disabled registries inside one binary — the disabled manager
+//! takes the identical code path minus the registry work, which is
+//! exactly the increment the budget bounds.
 //!
 //! Two bases are reported, following the repo's wall/virtual split
 //! (see R-T1): the **wall** percentage compares the registry increment

@@ -1,5 +1,4 @@
-//! N simulated hosts, the migration protocol driver, and the
-//! placement/rebalance layer.
+//! N simulated hosts, the migration protocol driver, and VM placement.
 //!
 //! ## Exactly-once
 //!
@@ -156,25 +155,6 @@ pub enum MigrateOutcome {
     /// retry with a fresh epoch.
     RejectedStale,
 }
-
-/// Typed failures of cluster-level placement operations. Fleet-scale
-/// callers (the rebalancer in particular) hit these programmatically —
-/// a zero-host fleet is an input, not a bug — so they must not panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterError {
-    /// The operation needs at least one joined host.
-    NoHosts,
-}
-
-impl std::fmt::Display for ClusterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClusterError::NoHosts => write!(f, "cluster has no hosts"),
-        }
-    }
-}
-
-impl std::error::Error for ClusterError {}
 
 /// Source-side protocol phase of a [`MigrationRun`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1193,40 +1173,5 @@ impl Cluster {
             }
         }
         Ok(report)
-    }
-
-    /// One rebalance pass: move VMs from the most- to the least-loaded
-    /// host until the spread is ≤ 1. Returns the committed moves, or
-    /// [`ClusterError::NoHosts`] on an empty fleet — a reachable input
-    /// once hosts join and leave at runtime, so it must not panic.
-    pub fn rebalance(&mut self) -> Result<usize, ClusterError> {
-        if self.hosts.is_empty() {
-            return Err(ClusterError::NoHosts);
-        }
-        let mut moves = 0;
-        for _ in 0..self.next_vm {
-            let counts: Vec<usize> = (0..self.hosts.len())
-                .map(|h| self.hosts[h].journal.mapped_vms().len())
-                .collect();
-            let Some((max_h, &max)) =
-                counts.iter().enumerate().max_by_key(|&(h, &c)| (c, usize::MAX - h))
-            else {
-                return Err(ClusterError::NoHosts);
-            };
-            let Some((min_h, &min)) = counts.iter().enumerate().min_by_key(|&(h, &c)| (c, h))
-            else {
-                return Err(ClusterError::NoHosts);
-            };
-            if max - min <= 1 {
-                break;
-            }
-            let Some(&(vm, _)) = self.hosts[max_h].journal.mapped_vms().first() else { break };
-            if self.migrate(vm, min_h) == MigrateOutcome::Committed {
-                moves += 1;
-            } else {
-                break;
-            }
-        }
-        Ok(moves)
     }
 }

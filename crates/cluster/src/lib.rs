@@ -7,8 +7,8 @@
 //! migration [`protocol`] (prepare → quiesce → sealed transfer → verify
 //! → commit/abort) with an **exactly-once** handoff guarantee, durable
 //! per-host [`journal`]s for crash recovery, monotonic migration epochs
-//! for anti-rollback, and a placement/rebalance layer that moves VMs
-//! under live workload traffic.
+//! for anti-rollback, and least-loaded placement of new VMs. Load
+//! balancing across hosts is the fleet controller's job (`vtpm-fleet`).
 //!
 //! ```
 //! use vtpm_cluster::{Cluster, ClusterConfig, MigrateOutcome};
@@ -29,7 +29,7 @@ pub mod journal;
 pub mod protocol;
 
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterError, ClusterHost, ControlFrame, MigrateOutcome, MigrationRun,
+    Cluster, ClusterConfig, ClusterHost, ControlFrame, MigrateOutcome, MigrationRun,
     QUIESCE_NS, RSA_OPEN_NS, RSA_SEAL_NS, SYM_BYTE_NS, VM_DOMAIN_BASE,
 };
 pub use fabric::{Fabric, FabricFault, FabricStats, FABRIC_BYTE_NS, FABRIC_MSG_NS};
@@ -171,34 +171,6 @@ mod tests {
             assert_eq!(outcome, MigrateOutcome::Committed, "dup at send {at}");
             assert_eq!(cluster.runnable_hosts(vm), vec![2], "dup at send {at}");
             assert_matches_oracle(&cluster, vm, &before);
-        }
-    }
-
-    #[test]
-    fn rebalance_spreads_vms_under_traffic() {
-        let mut cluster = Cluster::new(b"cluster-t6", small()).unwrap();
-        // create_vm places on the least-loaded host, so force the skew
-        // by migrating everything onto host 0 first.
-        let vms: Vec<u32> = (0..4).map(|_| cluster.create_vm().unwrap()).collect();
-        for &vm in &vms {
-            for ev in generate_trace(&[b"t6-trace/", &[vm as u8][..]].concat(), 8) {
-                cluster.apply_event(vm, &ev);
-            }
-            if cluster.home_of(vm) != Some(0) {
-                assert_eq!(cluster.migrate(vm, 0), MigrateOutcome::Committed);
-            }
-        }
-        let moves = cluster.rebalance().expect("populated cluster");
-        assert!(moves >= 2, "expected at least two moves, got {moves}");
-        let counts: Vec<usize> =
-            (0..3).map(|h| cluster.hosts[h].journal.mapped_vms().len()).collect();
-        assert!(counts.iter().all(|&c| c >= 1), "still skewed: {counts:?}");
-        // Every VM runnable on exactly one host and still serving.
-        for &vm in &vms {
-            assert_eq!(cluster.runnable_hosts(vm).len(), 1);
-            for ev in generate_trace(&[b"t6-after/", &[vm as u8][..]].concat(), 4) {
-                assert!(cluster.apply_event(vm, &ev));
-            }
         }
     }
 

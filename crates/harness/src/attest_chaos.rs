@@ -44,12 +44,13 @@ use vtpm_ac::AuditLog;
 use vtpm_attest::{
     IssuerConfig, QuoteIssuer, Submission, Verdict, VerifierConfig, VerifierPool,
 };
-use vtpm_sentinel::{Sentinel, SentinelConfig, Severity};
-use vtpm_telemetry::{json_str, Telemetry};
+use vtpm_sentinel::{Sentinel, SentinelConfig};
+use vtpm_telemetry::Telemetry;
 use xen_sim::Result as XenResult;
 
+use crate::hex;
+use crate::report::{close_sentinel, Fields, Report, Transcript};
 use crate::sentinel_feed::{apply_verifier_alerts, attest_event, audit_event};
-use crate::{hex, json_array};
 
 /// Tunables for one attestation chaos run.
 #[derive(Debug, Clone)]
@@ -146,38 +147,30 @@ pub struct AttestChaosReport {
     pub transcript: [u8; 32],
 }
 
-impl AttestChaosReport {
-    /// One machine-readable JSON object (single line, stable order).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"family\":\"attest\",\"seed\":{},\"rounds\":{},\"submissions\":{},\
-             \"accepted\":{},\"injected_replays\":{},\"replays_refused\":{},\
-             \"injected_stale\":{},\"stale_refused\":{},\"storm_submissions\":{},\
-             \"storm_throttled\":{},\"signing_passes\":{},\"cache_absorbed\":{},\
-             \"pcr_extends\":{},\"stale_denials\":{},\"replay_denials\":{},\
-             \"audit_chain_ok\":{},\"divergences\":{},\"sentinel_alerts\":{},\
-             \"sentinel_critical\":{},\"transcript\":{}}}",
-            json_str(&self.seed),
-            self.rounds,
-            self.submissions,
-            self.accepted,
-            self.injected_replays,
-            self.replays_refused,
-            self.injected_stale,
-            self.stale_refused,
-            self.storm_submissions,
-            self.storm_throttled,
-            self.signing_passes,
-            self.cache_absorbed,
-            self.pcr_extends,
-            self.stale_denials,
-            self.replay_denials,
-            self.audit_chain_ok,
-            json_array(&self.divergences),
-            json_array(&self.sentinel_alerts),
-            self.sentinel_critical,
-            json_str(&hex(&self.transcript)),
-        )
+impl Report for AttestChaosReport {
+    fn fields(&self) -> Fields<'_> {
+        Fields::default()
+            .put("family", "attest")
+            .put("seed", &self.seed)
+            .put("rounds", self.rounds)
+            .put("submissions", self.submissions)
+            .put("accepted", self.accepted)
+            .put("injected_replays", self.injected_replays)
+            .put("replays_refused", self.replays_refused)
+            .put("injected_stale", self.injected_stale)
+            .put("stale_refused", self.stale_refused)
+            .put("storm_submissions", self.storm_submissions)
+            .put("storm_throttled", self.storm_throttled)
+            .put("signing_passes", self.signing_passes)
+            .put("cache_absorbed", self.cache_absorbed)
+            .put("pcr_extends", self.pcr_extends)
+            .put("stale_denials", self.stale_denials)
+            .put("replay_denials", self.replay_denials)
+            .put("audit_chain_ok", self.audit_chain_ok)
+            .put("divergences", &self.divergences)
+            .put("sentinel_alerts", &self.sentinel_alerts)
+            .put("sentinel_critical", self.sentinel_critical)
+            .put("transcript", &self.transcript)
     }
 }
 
@@ -214,7 +207,7 @@ pub fn run_attest_chaos(seed: &[u8], cfg: &AttestChaosConfig) -> XenResult<Attes
     pool.attach_audit(Arc::clone(&audit));
 
     let mut sentinel = Sentinel::new(SentinelConfig::default());
-    let mut transcript: Vec<u8> = Vec::new();
+    let mut t = Transcript::default();
     let mut report = AttestChaosReport {
         seed: hex(seed),
         rounds: cfg.rounds,
@@ -225,12 +218,10 @@ pub fn run_attest_chaos(seed: &[u8], cfg: &AttestChaosConfig) -> XenResult<Attes
                   verifier: u32,
                   bytes: Vec<u8>,
                   now_ns: u64,
-                  transcript: &mut Vec<u8>| {
-        let digest = sha256(&bytes);
+                  t: &mut Transcript| {
+        t.u32(verifier).bytes(&sha256(&bytes));
         let verdict = pool.verify_one(&Submission { verifier, bytes }, now_ns);
-        transcript.extend_from_slice(&verifier.to_be_bytes());
-        transcript.extend_from_slice(&digest);
-        transcript.push(verdict.code());
+        t.u32(verdict.code().into());
         verdict
     };
 
@@ -255,7 +246,7 @@ pub fn run_attest_chaos(seed: &[u8], cfg: &AttestChaosConfig) -> XenResult<Attes
             if round == 0 {
                 held.push(bytes.clone());
             }
-            let verdict = submit(&pool, v, bytes.clone(), now, &mut transcript);
+            let verdict = submit(&pool, v, bytes.clone(), now, &mut t);
             report.submissions += 1;
             if verdict.accepted() {
                 report.accepted += 1;
@@ -268,7 +259,7 @@ pub fn run_attest_chaos(seed: &[u8], cfg: &AttestChaosConfig) -> XenResult<Attes
             // evidence under the same verifier identity.
             if report.injected_replays < cfg.replay_injections as u64 {
                 report.injected_replays += 1;
-                match submit(&pool, v, bytes, now, &mut transcript) {
+                match submit(&pool, v, bytes, now, &mut t) {
                     Verdict::Replayed => report.replays_refused += 1,
                     other => report
                         .divergences
@@ -317,7 +308,7 @@ pub fn run_attest_chaos(seed: &[u8], cfg: &AttestChaosConfig) -> XenResult<Attes
         clock.advance_ns(1_000);
         let verifier = 100_000 + i as u32;
         let bytes = held[i].clone();
-        let verdict = submit(&pool, verifier, bytes, clock.now_ns(), &mut transcript);
+        let verdict = submit(&pool, verifier, bytes, clock.now_ns(), &mut t);
         report.injected_stale += 1;
         match verdict {
             Verdict::Stale => report.stale_refused += 1,
@@ -338,7 +329,7 @@ pub fn run_attest_chaos(seed: &[u8], cfg: &AttestChaosConfig) -> XenResult<Attes
             clock.advance_ns(1_000);
             let now = clock.now_ns();
             let evidence = issuer.issue(&platform, instance, now).expect("storm issue");
-            submit(&pool, STORM_VERIFIER, evidence.encode(), now, &mut transcript);
+            submit(&pool, STORM_VERIFIER, evidence.encode(), now, &mut t);
             report.storm_submissions += 1;
         }
     }
@@ -364,7 +355,7 @@ pub fn run_attest_chaos(seed: &[u8], cfg: &AttestChaosConfig) -> XenResult<Attes
         clock.advance_ns(1_000);
         let now = clock.now_ns();
         let evidence = issuer.issue(&platform, guests[0].instance, now).expect("post-storm issue");
-        let verdict = submit(&pool, STORM_VERIFIER, evidence.encode(), now, &mut transcript);
+        let verdict = submit(&pool, STORM_VERIFIER, evidence.encode(), now, &mut t);
         report.storm_submissions += 1;
         if verdict != Verdict::Throttled {
             report
@@ -383,9 +374,7 @@ pub fn run_attest_chaos(seed: &[u8], cfg: &AttestChaosConfig) -> XenResult<Attes
     // false positive.
     let attack_free =
         cfg.replay_injections == 0 && cfg.stale_injections == 0 && !cfg.storm;
-    report.sentinel_alerts = sentinel.alerts().iter().map(|a| a.line()).collect();
-    report.sentinel_critical =
-        sentinel.alerts().iter().filter(|a| a.severity == Severity::Critical).count() as u64;
+    (report.sentinel_alerts, report.sentinel_critical, _) = close_sentinel(&sentinel, &mut t);
     if attack_free && report.sentinel_critical > 0 {
         report
             .divergences
@@ -418,10 +407,7 @@ pub fn run_attest_chaos(seed: &[u8], cfg: &AttestChaosConfig) -> XenResult<Attes
         report.divergences.push("audit chain broken or refusals unaudited".into());
     }
 
-    for line in &report.sentinel_alerts {
-        transcript.extend_from_slice(line.as_bytes());
-    }
-    report.transcript = sha256(&transcript);
+    report.transcript = t.digest();
     Ok(report)
 }
 

@@ -29,6 +29,13 @@
 //! crash-at-every-step migration matrix (both roles x every protocol
 //! step) on one seed.
 //!
+//! Each seed prints one text line, `<kind> <seed>: <name> <value> ...`,
+//! derived from the same field list as the JSON report: numbers, flags
+//! and labels as they are, nested objects flattened to `name.field`,
+//! lists (faults, cells, drives, divergences, alerts) as their length,
+//! and the transcript as its first 8 bytes in hex. Divergence and alert
+//! lines follow, indented.
+//!
 //! `--json` switches the per-seed output to one JSON object per line
 //! (stable field order; `report` is the full seed report, plus
 //! `deterministic` and `failed` verdicts), still printed in seed order
@@ -42,9 +49,9 @@ use std::sync::mpsc;
 
 use vtpm::MirrorMode;
 use vtpm_harness::{
-    hex, run_attest_chaos, run_chaos, run_crash_matrix, run_fleet_chaos, run_migration_chaos,
+    run_attest_chaos, run_chaos, run_crash_matrix, run_fleet_chaos, run_migration_chaos,
     AttestChaosConfig, AttestChaosReport, ChaosConfig, ChaosReport, CrashMatrixReport,
-    FleetChaosConfig, FleetChaosReport, MigrationChaosConfig, MigrationChaosReport,
+    FleetChaosConfig, FleetChaosReport, MigrationChaosConfig, MigrationChaosReport, Report,
 };
 use xen_sim::Result as XenResult;
 
@@ -60,14 +67,10 @@ fn json_line(report_json: &str, deterministic: bool, failed: bool) -> String {
     format!("{{\"report\":{report_json},\"deterministic\":{deterministic},\"failed\":{failed}}}\n")
 }
 
-/// What the CLI reads off one family's seed report.
-trait SeedReport: PartialEq {
+/// What the CLI reads off one family's seed report beyond its fields.
+trait SeedReport: Report + PartialEq {
     /// The seed's own verdict, replay determinism aside.
     fn clean(&self) -> bool;
-    /// The report as one JSON object.
-    fn json(&self) -> String;
-    /// The text line after `<kind> <seed>`.
-    fn summary(&self) -> String;
     /// Lines printed indented under the summary.
     fn details(&self) -> Vec<&String>;
 }
@@ -100,8 +103,8 @@ fn run_twice<R: SeedReport>(
         return SeedOutcome { text: json_line(&first.json(), deterministic, failed), failed };
     }
     let mut text = format!(
-        "{kind} {seed}{}{}\n",
-        first.summary(),
+        "{kind} {seed}:{}{}\n",
+        first.text(),
         if deterministic { "" } else { "  REPLAY MISMATCH" },
     );
     for d in first.details() {
@@ -124,31 +127,6 @@ impl SeedReport for ChaosReport {
             && self.sentinel_critical == 0
     }
 
-    fn json(&self) -> String {
-        self.to_json()
-    }
-
-    fn summary(&self) -> String {
-        format!(
-            ": transcript {} faults {:?} recoveries {} (post {} / pre {}) reconnects {} \
-             completed {} dropped {} scrub-failures {} retried-burns {} divergences {} \
-             nonce-reuses {} sentinel-critical {}",
-            hex(&self.transcript[..8]),
-            self.faults.iter().map(|(_, n)| *n).collect::<Vec<_>>(),
-            self.crash_recoveries,
-            self.recovered_post,
-            self.recovered_pre,
-            self.ring_reconnects,
-            self.completed,
-            self.dropped_events,
-            self.scrub_failures,
-            self.retried_generation_burns,
-            self.divergences.len(),
-            self.nonce_reuses,
-            self.sentinel_critical,
-        )
-    }
-
     fn details(&self) -> Vec<&String> {
         self.divergences.iter().chain(&self.sentinel_alerts).collect()
     }
@@ -157,32 +135,6 @@ impl SeedReport for ChaosReport {
 impl SeedReport for MigrationChaosReport {
     fn clean(&self) -> bool {
         self.divergences.is_empty() && self.sentinel_critical == 0
-    }
-
-    fn json(&self) -> String {
-        self.to_json()
-    }
-
-    fn summary(&self) -> String {
-        let f = self.fabric;
-        format!(
-            " [migration]: transcript {} committed {} aborted {} rejected-stale {} crashes {} \
-             rebalance-moves {} fabric {}s/{}d/{}dup/{}ro/{}lost divergences {} \
-             sentinel-critical {}",
-            hex(&self.transcript[..8]),
-            self.committed,
-            self.aborted,
-            self.rejected_stale,
-            self.crashes,
-            self.rebalance_moves,
-            f.sent,
-            f.dropped,
-            f.duplicated,
-            f.reordered,
-            f.crash_lost,
-            self.divergences.len(),
-            self.sentinel_critical,
-        )
     }
 
     fn details(&self) -> Vec<&String> {
@@ -196,33 +148,6 @@ impl SeedReport for AttestChaosReport {
     /// by the family itself), so clean means divergence-free.
     fn clean(&self) -> bool {
         self.divergences.is_empty()
-    }
-
-    fn json(&self) -> String {
-        self.to_json()
-    }
-
-    fn summary(&self) -> String {
-        format!(
-            " [attest]: transcript {} submissions {} accepted {} replays {}/{} stale {}/{} \
-             storm {}{} signing-passes {} cache-absorbed {} pcr-extends {} audit-chain {} \
-             divergences {} sentinel-critical {}",
-            hex(&self.transcript[..8]),
-            self.submissions,
-            self.accepted,
-            self.replays_refused,
-            self.injected_replays,
-            self.stale_refused,
-            self.injected_stale,
-            self.storm_submissions,
-            if self.storm_throttled { " (throttled)" } else { "" },
-            self.signing_passes,
-            self.cache_absorbed,
-            self.pcr_extends,
-            if self.audit_chain_ok { "ok" } else { "BROKEN" },
-            self.divergences.len(),
-            self.sentinel_critical,
-        )
     }
 
     fn details(&self) -> Vec<&String> {
@@ -245,42 +170,6 @@ impl SeedReport for FleetChaosReport {
             && self.sentinel_critical == 0
     }
 
-    fn json(&self) -> String {
-        self.to_json()
-    }
-
-    fn summary(&self) -> String {
-        format!(
-            " [fleet]: transcript {} ticks {} committed {} aborted {} rejected-stale {} \
-             abandoned {} refused {} conflicts {}/{}pairs crashes {} revivals {} joins {} \
-             suspects {} (false {}) pauses {}/{} p99-downtime {}ns lost {} dup {} orphaned {} \
-             unsettled {} divergences {} sentinel-critical {}",
-            hex(&self.transcript[..8]),
-            self.ticks,
-            self.committed,
-            self.aborted,
-            self.rejected_stale,
-            self.abandoned,
-            self.refused,
-            self.conflicts,
-            self.conflict_pairs,
-            self.crashes,
-            self.revivals,
-            self.joins,
-            self.suspects_raised,
-            self.false_suspects,
-            self.storm_pauses,
-            self.storm_resumes,
-            self.downtime_p99_ns,
-            self.lost,
-            self.duplicated,
-            self.orphaned,
-            self.unsettled,
-            self.divergences.len(),
-            self.sentinel_critical,
-        )
-    }
-
     fn details(&self) -> Vec<&String> {
         self.divergences.iter().chain(&self.sentinel_alerts).collect()
     }
@@ -289,21 +178,6 @@ impl SeedReport for FleetChaosReport {
 impl SeedReport for CrashMatrixReport {
     fn clean(&self) -> bool {
         self.failures.is_empty() && self.cells.len() == 18
-    }
-
-    fn json(&self) -> String {
-        self.to_json()
-    }
-
-    fn summary(&self) -> String {
-        format!(
-            ": transcript {} cells {} committed-handoffs {} replays-rejected {} failures {}",
-            hex(&self.transcript[..8]),
-            self.cells.len(),
-            self.cells.iter().filter(|c| c.moved).count(),
-            self.replays_rejected,
-            self.failures.len(),
-        )
     }
 
     fn details(&self) -> Vec<&String> {

@@ -26,17 +26,17 @@
 use std::collections::BTreeMap;
 
 use tpm_crypto::drbg::Drbg;
-use tpm_crypto::sha256;
 use vtpm_cluster::{Cluster, ClusterConfig, FabricFault, FabricStats};
 use vtpm_fleet::{DriveDecision, DriveOutcome, Fleet, FleetConfig, Submitted, CONTROLLER_HOST};
 use vtpm_observatory::Observatory;
-use vtpm_sentinel::{Sentinel, SentinelConfig, Severity, StreamEvent};
-use vtpm_telemetry::json_str;
+use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
 use workload::{generate_trace, TpmOracle};
 use xen_sim::Result as XenResult;
 
-use crate::sentinel_feed::{apply_fleet_alerts, apply_slo_alerts, audit_event};
-use crate::{hex, json_array};
+use crate::hex;
+use crate::migration_chaos::diff_vm;
+use crate::report::{close_sentinel, fabric_fields, Fields, Report, Tag, Transcript};
+use crate::sentinel_feed::{apply_fleet_alerts, apply_slo_alerts, ClusterFeed};
 
 /// Tunables for one fleet-chaos scenario.
 #[derive(Debug, Clone)]
@@ -182,83 +182,62 @@ pub struct FleetChaosReport {
     pub transcript: [u8; 32],
 }
 
-impl FleetChaosReport {
-    /// One machine-readable JSON object (single line, stable field
-    /// order) — the `--json` chaos CLI output format.
-    pub fn to_json(&self) -> String {
-        let drives: Vec<String> = self
+impl Report for FleetChaosReport {
+    fn fields(&self) -> Fields<'_> {
+        let drives = self
             .drives
             .iter()
             .map(|d| {
-                format!(
-                    "{{\"vm\":{},\"src\":{},\"dst\":{},\"epoch\":{},\"trace\":{},\
-                     \"reason\":{},\"conflict\":{},\"outcome\":{},\"downtime_ns\":{},\"why\":{}}}",
-                    d.vm,
-                    d.src,
-                    d.dst,
-                    d.epoch,
-                    d.trace,
-                    json_str(d.reason.label()),
-                    d.conflict,
-                    json_str(d.outcome.label()),
-                    d.downtime_ns,
-                    json_str(d.why),
-                )
+                Fields::default()
+                    .put("vm", d.vm)
+                    .put("src", d.src)
+                    .put("dst", d.dst)
+                    .put("epoch", d.epoch)
+                    .put("trace", d.trace)
+                    .put("reason", d.reason.label())
+                    .put("conflict", d.conflict)
+                    .put("outcome", d.outcome.label())
+                    .put("downtime_ns", d.downtime_ns)
+                    .put("why", d.why)
             })
-            .collect();
-        let f = self.fabric;
-        format!(
-            "{{\"family\":\"fleet\",\"seed\":{},\"rounds\":{},\"ticks\":{},\"committed\":{},\
-             \"aborted\":{},\"rejected_stale\":{},\"abandoned\":{},\"refused\":{},\
-             \"conflicts\":{},\"conflict_pairs\":{},\"multi_winner_conflicts\":{},\
-             \"crashes\":{},\"revivals\":{},\"joins\":{},\"suspects_raised\":{},\
-             \"false_suspects\":{},\"storm_pauses\":{},\"storm_resumes\":{},\"scrapes\":{},\
-             \"slo_burns\":{},\"slo_clears\":{},\"slo_pauses\":{},\"slo_resumes\":{},\"lost\":{},\
-             \"duplicated\":{},\"orphaned\":{},\"unsettled\":{},\"downtime_p99_ns\":{},\
-             \"downtime_max_ns\":{},\"drives\":[{}],\"fabric\":{{\"sent\":{},\"delivered\":{},\
-             \"dropped\":{},\"duplicated\":{},\"reordered\":{},\"crash_lost\":{}}},\
-             \"divergences\":{},\"sentinel_alerts\":{},\"sentinel_critical\":{},\"transcript\":{}}}",
-            json_str(&self.seed),
-            self.rounds,
-            self.ticks,
-            self.committed,
-            self.aborted,
-            self.rejected_stale,
-            self.abandoned,
-            self.refused,
-            self.conflicts,
-            self.conflict_pairs,
-            self.multi_winner_conflicts,
-            self.crashes,
-            self.revivals,
-            self.joins,
-            self.suspects_raised,
-            self.false_suspects,
-            self.storm_pauses,
-            self.storm_resumes,
-            self.scrapes,
-            self.slo_burns,
-            self.slo_clears,
-            self.slo_pauses,
-            self.slo_resumes,
-            self.lost,
-            self.duplicated,
-            self.orphaned,
-            self.unsettled,
-            self.downtime_p99_ns,
-            self.downtime_max_ns,
-            drives.join(","),
-            f.sent,
-            f.delivered,
-            f.dropped,
-            f.duplicated,
-            f.reordered,
-            f.crash_lost,
-            json_array(&self.divergences),
-            json_array(&self.sentinel_alerts),
-            self.sentinel_critical,
-            json_str(&hex(&self.transcript)),
-        )
+            .collect::<Vec<_>>();
+        Fields::default()
+            .put("family", "fleet")
+            .put("seed", &self.seed)
+            .put("rounds", self.rounds)
+            .put("ticks", self.ticks)
+            .put("committed", self.committed)
+            .put("aborted", self.aborted)
+            .put("rejected_stale", self.rejected_stale)
+            .put("abandoned", self.abandoned)
+            .put("refused", self.refused)
+            .put("conflicts", self.conflicts)
+            .put("conflict_pairs", self.conflict_pairs)
+            .put("multi_winner_conflicts", self.multi_winner_conflicts)
+            .put("crashes", self.crashes)
+            .put("revivals", self.revivals)
+            .put("joins", self.joins)
+            .put("suspects_raised", self.suspects_raised)
+            .put("false_suspects", self.false_suspects)
+            .put("storm_pauses", self.storm_pauses)
+            .put("storm_resumes", self.storm_resumes)
+            .put("scrapes", self.scrapes)
+            .put("slo_burns", self.slo_burns)
+            .put("slo_clears", self.slo_clears)
+            .put("slo_pauses", self.slo_pauses)
+            .put("slo_resumes", self.slo_resumes)
+            .put("lost", self.lost)
+            .put("duplicated", self.duplicated)
+            .put("orphaned", self.orphaned)
+            .put("unsettled", self.unsettled)
+            .put("downtime_p99_ns", self.downtime_p99_ns)
+            .put("downtime_max_ns", self.downtime_max_ns)
+            .put("drives", drives)
+            .put("fabric", fabric_fields(&self.fabric))
+            .put("divergences", &self.divergences)
+            .put("sentinel_alerts", &self.sentinel_alerts)
+            .put("sentinel_critical", self.sentinel_critical)
+            .put("transcript", &self.transcript)
     }
 }
 
@@ -284,7 +263,7 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
         rounds: cfg.rounds,
         ..Default::default()
     };
-    let mut transcript: Vec<u8> = Vec::new();
+    let mut t = Transcript::default();
 
     let mut oracles: Vec<TpmOracle> = Vec::new();
     for _ in 0..cfg.vms {
@@ -297,9 +276,7 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
     let mut down: BTreeMap<usize, usize> = BTreeMap::new();
     // Injected double-drives, as decision-index pairs.
     let mut pairs: Vec<(usize, usize)> = Vec::new();
-    // Stream cursors so the sentinel sees each record exactly once.
-    let mut audit_fed = vec![0usize; cfg.hosts];
-    let mut spans_fed = 0usize;
+    let mut feed = ClusterFeed::default();
     let mut alerts_fed = 0usize;
 
     let revive =
@@ -314,7 +291,7 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
         };
 
     for round in 0..cfg.rounds {
-        transcript.extend_from_slice(&(round as u32).to_be_bytes());
+        t.usize(round);
 
         // Revivals due this round.
         let due: Vec<usize> =
@@ -325,7 +302,7 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
             down.remove(&h);
             revived.push(h);
             report.revivals += 1;
-            transcript.extend_from_slice(&[b'U', h as u8]);
+            t.tag(Tag::REVIVE).usize(h);
         }
 
         // Traffic against every at-rest VM on a live host.
@@ -375,7 +352,7 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
                 let others: Vec<usize> = up.iter().copied().filter(|&h| h != home).collect();
                 let dst = others[rng.below(others.len() as u64) as usize];
                 fleet.drive(&mut cluster, vm, dst);
-                transcript.extend_from_slice(&[b'D', vm as u8, dst as u8]);
+                t.tag(Tag::DRIVE).u32(vm).usize(dst);
             }
             // Double-drive: the same VM toward two destinations in the
             // same breath — the epoch-arbitration race on purpose.
@@ -397,7 +374,7 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
                     pairs.push((ia, ib));
                     report.conflict_pairs += 1;
                 }
-                transcript.extend_from_slice(&[b'W', vm as u8, d1 as u8, d2 as u8]);
+                t.tag(Tag::DOUBLE_DRIVE).u32(vm).usize(d1).usize(d2);
             }
             // Fabric fault armed on an upcoming send (control-plane
             // heartbeats ride the same counter, so drops here are how
@@ -410,7 +387,7 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
                 };
                 let at = cluster.fabric.stats().sent + rng.below(8);
                 cluster.fabric.inject_fault(at, kind);
-                transcript.push(b'F');
+                t.tag(Tag::FAULT);
             }
             // Crash a host; it stays down for a seeded number of
             // rounds. Never the last live host.
@@ -420,17 +397,18 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
                 fleet.host_down(&mut cluster, h);
                 down.insert(h, round + 1 + rng.below(3) as usize);
                 report.crashes += 1;
-                transcript.extend_from_slice(&[b'X', h as u8]);
+                t.tag(Tag::CRASH).usize(h);
             }
             // Join a host (until the cap).
             5 if cluster.hosts.len() < cfg.max_hosts => {
                 let h = cluster.add_host()?;
                 fleet.host_joined(&cluster, h);
-                audit_fed.push(0);
                 report.joins += 1;
-                transcript.extend_from_slice(&[b'J', h as u8]);
+                t.tag(Tag::JOIN).usize(h);
             }
-            _ => transcript.push(b'Q'),
+            _ => {
+                t.tag(Tag::QUIET);
+            }
         }
 
         // Run the controller.
@@ -458,21 +436,14 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
                     .divergences
                     .push(format!("round {round}: vm {vm} runnable on {runnable:?}"));
             }
-            transcript.push(cluster.home_of(vm).map_or(0xFF, |h| h as u8));
+            t.usize(cluster.home_of(vm).unwrap_or(usize::MAX));
             if cfg.oracle_checks {
                 let [home] = runnable[..] else { continue };
                 if down.contains_key(&home) || fleet.pool().has_vm(vm) {
                     continue;
                 }
-                match cluster.with_vm(vm, |i| oracles[vm as usize].diff(&i.tpm)) {
-                    Some(d) if d.is_empty() => {}
-                    Some(d) => report
-                        .divergences
-                        .push(format!("round {round}: vm {vm} diverged: {}", d.join("; "))),
-                    None => report
-                        .divergences
-                        .push(format!("round {round}: vm {vm} has no live instance")),
-                }
+                let at = format!("round {round}");
+                diff_vm(&cluster, vm, &oracles[vm as usize], &at, &mut report.divergences);
             }
         }
 
@@ -503,18 +474,7 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
         // loop: churn-storm alerts drive the rebalance-pause latch,
         // and migration-blackout SLO burns drive the same latch
         // through their own bridge.
-        for (h, fed) in audit_fed.iter_mut().enumerate() {
-            let entries = cluster.hosts[h].audit.entries();
-            for e in &entries[*fed..] {
-                sentinel.observe(audit_event(h as u32, e));
-            }
-            *fed = entries.len();
-        }
-        let spans = cluster.telemetry().spans();
-        for m in &spans[spans_fed..] {
-            sentinel.observe(StreamEvent::MigrationSpan(m.clone()));
-        }
-        spans_fed = spans.len();
+        feed.feed(&cluster, &mut sentinel);
         let alerts = sentinel.alerts();
         let fresh = &alerts[alerts_fed..];
         let (p, r) = apply_fleet_alerts(&mut fleet, fresh);
@@ -550,13 +510,7 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
                 report.lost += 1;
                 report.divergences.push(format!("final: vm {vm} runnable nowhere"));
             }
-            1 => match cluster.with_vm(vm, |i| oracles[vm as usize].diff(&i.tpm)) {
-                Some(d) if d.is_empty() => {}
-                Some(d) => report
-                    .divergences
-                    .push(format!("final: vm {vm} diverged: {}", d.join("; "))),
-                None => report.divergences.push(format!("final: vm {vm} has no live instance")),
-            },
+            1 => diff_vm(&cluster, vm, &oracles[vm as usize], "final", &mut report.divergences),
             _ => {
                 report.duplicated += 1;
                 report.divergences.push(format!("final: vm {vm} runnable on {runnable:?}"));
@@ -588,9 +542,7 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
         if !vtpm_ac::AuditLog::verify(&entries) {
             report.divergences.push(format!("final: host {h} audit chain broken"));
         }
-        transcript.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-        transcript
-            .extend_from_slice(&(cluster.hosts[h].journal.records().len() as u32).to_be_bytes());
+        t.usize(entries.len()).usize(cluster.hosts[h].journal.records().len());
     }
     // Every injected conflict: at most one winner, ever.
     for &(ia, ib) in &pairs {
@@ -624,36 +576,23 @@ pub fn run_fleet_chaos(seed: &[u8], cfg: &FleetChaosConfig) -> XenResult<FleetCh
     report.drives = fleet.pool().decisions().to_vec();
     report.fabric = cluster.fabric.stats();
 
+    t.usize(report.drives.len());
     for d in &report.drives {
-        transcript.extend_from_slice(&d.vm.to_be_bytes());
-        transcript.extend_from_slice(&d.epoch.to_be_bytes());
-        transcript.extend_from_slice(&d.trace.to_be_bytes());
-        transcript.extend_from_slice(d.outcome.label().as_bytes());
+        t.u32(d.vm).u64(d.epoch).u64(d.trace).str(d.outcome.label());
     }
-    for n in [
-        report.fabric.sent,
-        report.fabric.delivered,
-        report.fabric.dropped,
-        report.fabric.duplicated,
-        report.fabric.reordered,
-        report.fabric.crash_lost,
-        snap.heartbeats_seen,
-    ] {
-        transcript.extend_from_slice(&n.to_be_bytes());
+    let f = report.fabric;
+    for n in [f.sent, f.delivered, f.dropped, f.duplicated, f.reordered, f.crash_lost] {
+        t.u64(n);
     }
+    t.u64(snap.heartbeats_seen);
     if let Some(obs) = &observatory {
         let (scraped, rejects, resets) = obs.stats();
         for n in [scraped, rejects, resets, report.slo_burns, report.slo_clears] {
-            transcript.extend_from_slice(&n.to_be_bytes());
+            t.u64(n);
         }
     }
-    report.sentinel_alerts = sentinel.alerts().iter().map(|a| a.line()).collect();
-    report.sentinel_critical =
-        sentinel.alerts().iter().filter(|a| a.severity == Severity::Critical).count() as u64;
-    for line in &report.sentinel_alerts {
-        transcript.extend_from_slice(line.as_bytes());
-    }
-    report.transcript = sha256(&transcript);
+    (report.sentinel_alerts, report.sentinel_critical, _) = close_sentinel(&sentinel, &mut t);
+    report.transcript = t.digest();
     Ok(report)
 }
 
@@ -699,7 +638,7 @@ mod tests {
     fn report_json_is_one_line_and_tagged() {
         let cfg = FleetChaosConfig { rounds: 3, vms: 2, ..Default::default() };
         let r = run_fleet_chaos(b"fleet-json-unit", &cfg).unwrap();
-        let json = r.to_json();
+        let json = r.json();
         assert!(json.starts_with("{\"family\":\"fleet\","));
         assert!(!json.contains('\n'));
         assert!(json.contains("\"drives\":["));

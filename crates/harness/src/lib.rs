@@ -30,6 +30,7 @@
 pub mod attest_chaos;
 pub mod fleet_chaos;
 pub mod migration_chaos;
+mod report;
 pub mod sentinel_feed;
 
 pub use attest_chaos::{run_attest_chaos, AttestChaosConfig, AttestChaosReport};
@@ -38,6 +39,7 @@ pub use migration_chaos::{
     run_crash_matrix, run_migration_chaos, CrashMatrixReport, MatrixCell, MigrationChaosConfig,
     MigrationChaosReport,
 };
+pub use report::{Fields, Report, Value};
 pub use sentinel_feed::{
     apply_fleet_alerts, apply_slo_alerts, apply_verifier_alerts, attest_event, audit_event,
     dump_event,
@@ -49,13 +51,13 @@ use std::time::{Duration, Instant};
 
 use tpm::{Tpm, TpmConfig, Transport as _};
 use tpm_crypto::drbg::Drbg;
-use tpm_crypto::sha256;
 use vtpm::{provision_device, ManagerConfig, MirrorMode, TpmBack, TpmFront, VtpmManager};
-use vtpm_sentinel::{Sentinel, SentinelConfig, Severity, StreamEvent};
-use vtpm_telemetry::json_str;
+use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
 use workload::trace::apply_to_tpm;
 use workload::{generate_trace, TpmOracle, TraceEvent};
 use xen_sim::{DomainConfig, DomainId, Hypervisor, Result as XenResult, RingFault};
+
+use crate::report::{Tag, Transcript};
 
 /// One planned fault, fired immediately before the event at its index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,46 +223,32 @@ pub fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// `["a","b"]` from strings, escaped.
-pub(crate) fn json_array(items: impl IntoIterator<Item = impl AsRef<str>>) -> String {
-    let inner: Vec<String> = items.into_iter().map(|s| json_str(s.as_ref())).collect();
-    format!("[{}]", inner.join(","))
-}
-
-impl ChaosReport {
-    /// One machine-readable JSON object (single line, stable field
-    /// order) — the `--json` chaos CLI output format.
-    pub fn to_json(&self) -> String {
-        let faults: Vec<String> = self
+impl Report for ChaosReport {
+    fn fields(&self) -> Fields<'_> {
+        let faults = self
             .faults
             .iter()
-            .map(|(at, name)| format!("{{\"at\":{at},\"fault\":{}}}", json_str(name)))
-            .collect();
-        format!(
-            "{{\"family\":\"mirror\",\"seed\":{},\"events\":{},\"faults\":[{}],\
-             \"crash_recoveries\":{},\"recovered_post\":{},\"recovered_pre\":{},\
-             \"ring_reconnects\":{},\"completed\":{},\"dropped_events\":{},\
-             \"scrub_failures\":{},\"retried_generation_burns\":{},\"nonce_reuses\":{},\
-             \"divergences\":{},\"sentinel_alerts\":{},\"sentinel_critical\":{},\
-             \"sentinel_flight_dumps\":{},\"transcript\":{}}}",
-            json_str(&self.seed),
-            self.events,
-            faults.join(","),
-            self.crash_recoveries,
-            self.recovered_post,
-            self.recovered_pre,
-            self.ring_reconnects,
-            self.completed,
-            self.dropped_events,
-            self.scrub_failures,
-            self.retried_generation_burns,
-            self.nonce_reuses,
-            json_array(&self.divergences),
-            json_array(&self.sentinel_alerts),
-            self.sentinel_critical,
-            self.sentinel_flight_dumps,
-            json_str(&hex(&self.transcript)),
-        )
+            .map(|&(at, name)| Fields::default().put("at", at).put("fault", name))
+            .collect::<Vec<_>>();
+        Fields::default()
+            .put("family", "mirror")
+            .put("seed", &self.seed)
+            .put("events", self.events)
+            .put("faults", faults)
+            .put("crash_recoveries", self.crash_recoveries)
+            .put("recovered_post", self.recovered_post)
+            .put("recovered_pre", self.recovered_pre)
+            .put("ring_reconnects", self.ring_reconnects)
+            .put("completed", self.completed)
+            .put("dropped_events", self.dropped_events)
+            .put("scrub_failures", self.scrub_failures)
+            .put("retried_generation_burns", self.retried_generation_burns)
+            .put("nonce_reuses", self.nonce_reuses)
+            .put("divergences", &self.divergences)
+            .put("sentinel_alerts", &self.sentinel_alerts)
+            .put("sentinel_critical", self.sentinel_critical)
+            .put("sentinel_flight_dumps", self.sentinel_flight_dumps)
+            .put("transcript", &self.transcript)
     }
 }
 
@@ -382,12 +370,12 @@ pub fn run_chaos(seed: &[u8], cfg: &ChaosConfig) -> XenResult<ChaosReport> {
         faults: plan.faults.iter().map(|(&i, f)| (i, f.name())).collect(),
         ..Default::default()
     };
-    let mut transcript: Vec<u8> = Vec::new();
+    let mut t = Transcript::default();
     let mut sentinel = Sentinel::new(SentinelConfig::default());
 
     for (i, ev) in trace.iter().enumerate() {
         let fault = plan.faults.get(&i).copied();
-        transcript.extend_from_slice(&(i as u32).to_be_bytes());
+        t.usize(i);
 
         // Pre-event fault arming.
         match fault {
@@ -417,8 +405,7 @@ pub fn run_chaos(seed: &[u8], cfg: &ChaosConfig) -> XenResult<ChaosReport> {
                             .divergences
                             .push(format!("event {i}: repaired mirror still unreadable"));
                     }
-                    transcript.push(detected as u8);
-                    transcript.push(healed as u8);
+                    t.bool(detected).bool(healed);
                 }
             }
             Some(PlannedFault::RingDrop) => hv.inject_ring_fault(RingFault::Drop),
@@ -434,8 +421,7 @@ pub fn run_chaos(seed: &[u8], cfg: &ChaosConfig) -> XenResult<ChaosReport> {
         // commands) the oracle.
         if let Some(wire) = ev.wire_command() {
             let (resp, backend_died) = exchange(&mut front, &back, &wire);
-            transcript.extend_from_slice(&(resp.len() as u32).to_be_bytes());
-            transcript.extend_from_slice(&resp);
+            t.bytes(&resp);
             if matches!(fault, Some(PlannedFault::RevokeGrants)) {
                 if !backend_died {
                     report
@@ -482,8 +468,7 @@ pub fn run_chaos(seed: &[u8], cfg: &ChaosConfig) -> XenResult<ChaosReport> {
             mgr = rec;
             report.crash_recoveries += 1;
             sentinel.observe(StreamEvent::CrashRecovery { host: 0, at_ns: hv.clock.now_ns() });
-            transcript.push(rec_report.resumed.len() as u8);
-            transcript.push(rec_report.failed.len() as u8);
+            t.usize(rec_report.resumed.len()).usize(rec_report.failed.len());
 
             // The recovered TPM must equal the post- or pre-command
             // oracle — the two legal outcomes of an atomic commit.
@@ -491,7 +476,7 @@ pub fn run_chaos(seed: &[u8], cfg: &ChaosConfig) -> XenResult<ChaosReport> {
             match diff_post {
                 Some(d) if d.is_empty() => {
                     report.recovered_post += 1;
-                    transcript.push(b'P');
+                    t.tag(Tag::RECOVERED_POST);
                 }
                 Some(_) => {
                     let pre = pre_oracle.expect("cloned before crash");
@@ -501,7 +486,7 @@ pub fn run_chaos(seed: &[u8], cfg: &ChaosConfig) -> XenResult<ChaosReport> {
                             // died with the uncommitted mirror update.
                             oracle = pre;
                             report.recovered_pre += 1;
-                            transcript.push(b'p');
+                            t.tag(Tag::RECOVERED_PRE);
                         }
                         Some(d) => report.divergences.push(format!(
                             "event {i}: recovered state matches neither pre nor post oracle: {}",
@@ -528,7 +513,7 @@ pub fn run_chaos(seed: &[u8], cfg: &ChaosConfig) -> XenResult<ChaosReport> {
             let d = mgr
                 .with_instance(id, |inst| oracle.diff(&inst.tpm))
                 .unwrap_or_else(|| vec!["instance missing".into()]);
-            transcript.push(d.len() as u8);
+            t.usize(d.len());
             report
                 .divergences
                 .extend(d.into_iter().map(|d| format!("event {i}: {d}")));
@@ -557,15 +542,9 @@ pub fn run_chaos(seed: &[u8], cfg: &ChaosConfig) -> XenResult<ChaosReport> {
     for d in hv.dump_events() {
         sentinel.observe(sentinel_feed::dump_event(0, &d));
     }
-    report.sentinel_alerts = sentinel.alerts().iter().map(|a| a.line()).collect();
-    report.sentinel_critical =
-        sentinel.alerts().iter().filter(|a| a.severity == Severity::Critical).count() as u64;
-    report.sentinel_flight_dumps = sentinel.flight_dumps().len() as u64;
-    for line in &report.sentinel_alerts {
-        transcript.extend_from_slice(line.as_bytes());
-    }
-    transcript.push(report.sentinel_flight_dumps as u8);
-    report.transcript = sha256(&transcript);
+    (report.sentinel_alerts, report.sentinel_critical, report.sentinel_flight_dumps) =
+        report::close_sentinel(&sentinel, &mut t);
+    report.transcript = t.digest();
     Ok(report)
 }
 

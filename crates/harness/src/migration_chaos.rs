@@ -5,11 +5,11 @@
 //!
 //! * [`run_migration_chaos`] — one seeded scenario on a live cluster:
 //!   workload traffic interleaved with migrations, fabric faults
-//!   (drop/duplicate/reorder at seeded send offsets), mid-protocol host
-//!   crashes, and rebalance passes. After every round the harness
-//!   asserts the exactly-once invariant (each VM runnable on exactly
-//!   one host) and diffs every VM against its [`TpmOracle`]. Running
-//!   the same seed twice must produce byte-identical reports.
+//!   (drop/duplicate/reorder at seeded send offsets), and mid-protocol
+//!   host crashes. After every round the harness asserts the
+//!   exactly-once invariant (each VM runnable on exactly one host) and
+//!   diffs every VM against its [`TpmOracle`]. Running the same seed
+//!   twice must produce byte-identical reports.
 //!
 //! * [`run_crash_matrix`] — the systematic half: for both roles
 //!   (source, destination) and every protocol step `k` in `0..=8`,
@@ -21,17 +21,16 @@
 //!   refuse.
 
 use tpm_crypto::drbg::Drbg;
-use tpm_crypto::sha256;
 use vtpm_cluster::{
     Cluster, ClusterConfig, FabricFault, FabricStats, MigMessage, MigrateOutcome,
 };
-use vtpm_sentinel::{Sentinel, SentinelConfig, Severity, StreamEvent};
-use vtpm_telemetry::json_str;
+use vtpm_sentinel::{Sentinel, SentinelConfig, StreamEvent};
 use workload::{generate_trace, TpmOracle};
 use xen_sim::Result as XenResult;
 
-use crate::sentinel_feed::{audit_event, dump_event};
-use crate::{hex, json_array};
+use crate::hex;
+use crate::report::{close_sentinel, fabric_fields, Fields, Report, Tag, Transcript};
+use crate::sentinel_feed::{audit_event, dump_event, ClusterFeed};
 
 /// Tunables for one migration-chaos scenario.
 #[derive(Debug, Clone)]
@@ -79,8 +78,6 @@ pub struct MigrationChaosReport {
     pub rejected_stale: u64,
     /// Mid-protocol host crash/recovery cycles.
     pub crashes: u64,
-    /// VMs moved by rebalance passes.
-    pub rebalance_moves: u64,
     /// Fabric counters at run end.
     pub fabric: FabricStats,
     /// Invariant violations and oracle divergences (empty when correct).
@@ -97,36 +94,22 @@ pub struct MigrationChaosReport {
     pub transcript: [u8; 32],
 }
 
-impl MigrationChaosReport {
-    /// One machine-readable JSON object (single line, stable field
-    /// order) — the `--json` chaos CLI output format.
-    pub fn to_json(&self) -> String {
-        let f = self.fabric;
-        format!(
-            "{{\"family\":\"migration\",\"seed\":{},\"rounds\":{},\"committed\":{},\
-             \"aborted\":{},\"rejected_stale\":{},\"crashes\":{},\"rebalance_moves\":{},\
-             \"fabric\":{{\"sent\":{},\"delivered\":{},\"dropped\":{},\"duplicated\":{},\
-             \"reordered\":{},\"crash_lost\":{}}},\"divergences\":{},\"sentinel_alerts\":{},\
-             \"sentinel_critical\":{},\"sentinel_flight_dumps\":{},\"transcript\":{}}}",
-            json_str(&self.seed),
-            self.rounds,
-            self.committed,
-            self.aborted,
-            self.rejected_stale,
-            self.crashes,
-            self.rebalance_moves,
-            f.sent,
-            f.delivered,
-            f.dropped,
-            f.duplicated,
-            f.reordered,
-            f.crash_lost,
-            json_array(&self.divergences),
-            json_array(&self.sentinel_alerts),
-            self.sentinel_critical,
-            self.sentinel_flight_dumps,
-            json_str(&hex(&self.transcript)),
-        )
+impl Report for MigrationChaosReport {
+    fn fields(&self) -> Fields<'_> {
+        Fields::default()
+            .put("family", "migration")
+            .put("seed", &self.seed)
+            .put("rounds", self.rounds)
+            .put("committed", self.committed)
+            .put("aborted", self.aborted)
+            .put("rejected_stale", self.rejected_stale)
+            .put("crashes", self.crashes)
+            .put("fabric", fabric_fields(&self.fabric))
+            .put("divergences", &self.divergences)
+            .put("sentinel_alerts", &self.sentinel_alerts)
+            .put("sentinel_critical", self.sentinel_critical)
+            .put("sentinel_flight_dumps", self.sentinel_flight_dumps)
+            .put("transcript", &self.transcript)
     }
 }
 
@@ -143,6 +126,17 @@ fn check_vm(
         divergences.push(format!("{at}: vm {vm} runnable on {runnable:?}, expected exactly one"));
         return;
     }
+    diff_vm(cluster, vm, oracle, at, divergences);
+}
+
+/// Diff `vm`'s live instance against its oracle.
+pub(crate) fn diff_vm(
+    cluster: &Cluster,
+    vm: u32,
+    oracle: &TpmOracle,
+    at: &str,
+    divergences: &mut Vec<String>,
+) {
     match cluster.with_vm(vm, |i| oracle.diff(&i.tpm)) {
         Some(d) if d.is_empty() => {}
         Some(d) => divergences.push(format!("{at}: vm {vm} diverged: {}", d.join("; "))),
@@ -189,13 +183,9 @@ pub fn run_migration_chaos(
         rounds: cfg.rounds,
         ..Default::default()
     };
-    let mut transcript: Vec<u8> = Vec::new();
+    let mut t = Transcript::default();
     let mut sentinel = Sentinel::new(SentinelConfig::default());
-    // Stream cursors: audit entries already fed, per host, and
-    // migration spans already fed — the sentinel sees each record once,
-    // in a deterministic host-major order per round.
-    let mut audit_fed = vec![0usize; cfg.hosts];
-    let mut spans_fed = 0usize;
+    let mut feed = ClusterFeed::default();
 
     let mut oracles: Vec<TpmOracle> = Vec::new();
     for _ in 0..cfg.vms {
@@ -204,7 +194,7 @@ pub fn run_migration_chaos(
     }
 
     for round in 0..cfg.rounds {
-        transcript.extend_from_slice(&(round as u32).to_be_bytes());
+        t.usize(round);
 
         // Traffic against every VM (all are at rest between rounds).
         for vm in 0..cfg.vms as u32 {
@@ -229,9 +219,9 @@ pub fn run_migration_chaos(
             (0..cfg.vms as u32).map(|v| cluster.home_of(v)).collect();
         let mut crashed = None;
         match rng.below(4) {
-            // Clean migration, or one with a fabric fault armed on an
-            // upcoming send.
-            action @ (0 | 1) => {
+            // Clean migration (0, 3), or one with a fabric fault armed
+            // on an upcoming send (1).
+            action @ (0 | 1 | 3) => {
                 if action == 1 {
                     let kind = match rng.below(3) {
                         0 => FabricFault::Drop,
@@ -240,27 +230,27 @@ pub fn run_migration_chaos(
                     };
                     let at = cluster.fabric.stats().sent + rng.below(8);
                     cluster.fabric.inject_fault(at, kind);
-                    transcript.push(b'F');
+                    t.tag(Tag::FAULT);
                 }
                 let outcome = cluster.migrate(vm, dst);
-                transcript.push(match outcome {
+                t.tag(match outcome {
                     MigrateOutcome::Committed => {
                         report.committed += 1;
-                        b'C'
+                        Tag::COMMITTED
                     }
                     MigrateOutcome::Aborted => {
                         report.aborted += 1;
-                        b'A'
+                        Tag::ABORTED
                     }
                     MigrateOutcome::RejectedStale => {
                         report.rejected_stale += 1;
-                        b'R'
+                        Tag::REJECTED_STALE
                     }
                 });
             }
             // Crash one side after a seeded number of protocol steps,
             // recover it, settle via the journals.
-            2 => {
+            _ => {
                 let k = rng.below(9) as usize;
                 let crash_src = rng.below(2) == 0;
                 if let Some(mut run) = cluster.begin_migration(vm, dst) {
@@ -274,38 +264,21 @@ pub fn run_migration_chaos(
                     crashed = Some(h);
                     cluster.resolve(vm);
                     report.crashes += 1;
-                    transcript.extend_from_slice(&[b'X', h as u8, k as u8]);
+                    t.tag(Tag::CRASH).usize(h).usize(k);
                 }
-            }
-            // Rebalance pass.
-            _ => {
-                let moves = cluster.rebalance().expect("chaos cluster has hosts");
-                report.rebalance_moves += moves as u64;
-                transcript.extend_from_slice(&[b'B', moves as u8]);
             }
         }
 
         sync_reboots(&cluster, &homes, crashed, &mut oracles);
         for v in 0..cfg.vms as u32 {
             check_vm(&cluster, v, &oracles[v as usize], &format!("round {round}"), &mut report.divergences);
-            transcript.push(cluster.home_of(v).map_or(0xFF, |h| h as u8));
+            t.usize(cluster.home_of(v).unwrap_or(usize::MAX));
         }
 
         // Feed this round's observability exhaust to the sentinel:
         // every host's new audit entries, then new migration spans,
         // then the crash marker if one fired.
-        for (h, fed) in audit_fed.iter_mut().enumerate() {
-            let entries = cluster.hosts[h].audit.entries();
-            for e in &entries[*fed..] {
-                sentinel.observe(audit_event(h as u32, e));
-            }
-            *fed = entries.len();
-        }
-        let spans = cluster.telemetry().spans();
-        for m in &spans[spans_fed..] {
-            sentinel.observe(StreamEvent::MigrationSpan(m.clone()));
-        }
-        spans_fed = spans.len();
+        feed.feed(&cluster, &mut sentinel);
         if let Some(h) = crashed {
             // Stamped on the crashed host's own clock — the same one its
             // recovery scan's dump-trail entry carries — so the sentinel
@@ -326,20 +299,12 @@ pub fn run_migration_chaos(
         if !vtpm_ac::AuditLog::verify(&entries) {
             report.divergences.push(format!("final: host {h} audit chain broken"));
         }
-        transcript.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-        transcript
-            .extend_from_slice(&(cluster.hosts[h].journal.records().len() as u32).to_be_bytes());
+        t.usize(entries.len()).usize(cluster.hosts[h].journal.records().len());
     }
     report.fabric = cluster.fabric.stats();
-    for n in [
-        report.fabric.sent,
-        report.fabric.delivered,
-        report.fabric.dropped,
-        report.fabric.duplicated,
-        report.fabric.reordered,
-        report.fabric.crash_lost,
-    ] {
-        transcript.extend_from_slice(&n.to_be_bytes());
+    let f = report.fabric;
+    for n in [f.sent, f.delivered, f.dropped, f.duplicated, f.reordered, f.crash_lost] {
+        t.u64(n);
     }
     // Close out the sentinel stream: every host's dump trail. The only
     // dumps a fault-injecting (but attack-free) run produces are the
@@ -350,15 +315,9 @@ pub fn run_migration_chaos(
             sentinel.observe(dump_event(h as u32, &d));
         }
     }
-    report.sentinel_alerts = sentinel.alerts().iter().map(|a| a.line()).collect();
-    report.sentinel_critical =
-        sentinel.alerts().iter().filter(|a| a.severity == Severity::Critical).count() as u64;
-    report.sentinel_flight_dumps = sentinel.flight_dumps().len() as u64;
-    for line in &report.sentinel_alerts {
-        transcript.extend_from_slice(line.as_bytes());
-    }
-    transcript.push(report.sentinel_flight_dumps as u8);
-    report.transcript = sha256(&transcript);
+    (report.sentinel_alerts, report.sentinel_critical, report.sentinel_flight_dumps) =
+        close_sentinel(&sentinel, &mut t);
+    report.transcript = t.digest();
     Ok(report)
 }
 
@@ -395,33 +354,27 @@ pub struct CrashMatrixReport {
     pub transcript: [u8; 32],
 }
 
-impl CrashMatrixReport {
-    /// One machine-readable JSON object (single line, stable field
-    /// order) — the `--json` chaos CLI output format.
-    pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self
+impl Report for CrashMatrixReport {
+    fn fields(&self) -> Fields<'_> {
+        let cells = self
             .cells
             .iter()
             .map(|c| {
-                format!(
-                    "{{\"role\":{},\"after_step\":{},\"survivor\":{},\"moved\":{}}}",
-                    json_str(c.role),
-                    c.after_step,
-                    c.survivor,
-                    c.moved
-                )
+                Fields::default()
+                    .put("role", c.role)
+                    .put("after_step", c.after_step)
+                    .put("survivor", c.survivor)
+                    .put("moved", c.moved)
             })
-            .collect();
-        format!(
-            "{{\"family\":\"matrix\",\"seed\":{},\"cells\":[{}],\"replays_rejected\":{},\
-             \"failures\":{},\"sentinel_critical\":{},\"transcript\":{}}}",
-            json_str(&self.seed),
-            cells.join(","),
-            self.replays_rejected,
-            json_array(&self.failures),
-            self.sentinel_critical,
-            json_str(&hex(&self.transcript)),
-        )
+            .collect::<Vec<_>>();
+        Fields::default()
+            .put("family", "matrix")
+            .put("seed", &self.seed)
+            .put("cells", cells)
+            .put("replays_rejected", self.replays_rejected)
+            .put("failures", &self.failures)
+            .put("sentinel_critical", self.sentinel_critical)
+            .put("transcript", &self.transcript)
     }
 }
 
@@ -433,7 +386,7 @@ pub fn run_crash_matrix(seed: &[u8], sealed: bool) -> XenResult<CrashMatrixRepor
         seed: hex(seed),
         ..Default::default()
     };
-    let mut transcript: Vec<u8> = Vec::new();
+    let mut t = Transcript::default();
 
     for (role, crash_src) in [("src", true), ("dst", false)] {
         for k in 0..=8usize {
@@ -469,7 +422,7 @@ pub fn run_crash_matrix(seed: &[u8], sealed: bool) -> XenResult<CrashMatrixRepor
                 report.failures.push(format!(
                     "{cell}: vm runnable on {runnable:?}, expected exactly one host"
                 ));
-                transcript.push(0xFF);
+                t.usize(usize::MAX);
                 continue;
             };
             // The recovered state must be the pre- or post-migration
@@ -527,7 +480,7 @@ pub fn run_crash_matrix(seed: &[u8], sealed: bool) -> XenResult<CrashMatrixRepor
                 }
             }
 
-            transcript.extend_from_slice(&[k as u8, crash_src as u8, survivor as u8, moved as u8]);
+            t.usize(k).bool(crash_src).usize(survivor).bool(moved);
             // A per-cell sentinel over both hosts' exhaust: the crash,
             // recovery, and single replayed frame are all expected —
             // a critical alert means a detector misread normal fault
@@ -538,14 +491,12 @@ pub fn run_crash_matrix(seed: &[u8], sealed: bool) -> XenResult<CrashMatrixRepor
                 at_ns: recovered_at,
             });
             for h in 0..2 {
-                transcript.extend_from_slice(
-                    &(cluster.hosts[h].journal.records().len() as u32).to_be_bytes(),
-                );
+                t.usize(cluster.hosts[h].journal.records().len());
                 let entries = cluster.hosts[h].audit.entries();
                 if !vtpm_ac::AuditLog::verify(&entries) {
                     report.failures.push(format!("{cell}: host {h} audit chain broken"));
                 }
-                transcript.extend_from_slice(&(entries.len() as u32).to_be_bytes());
+                t.usize(entries.len());
                 for e in &entries {
                     sentinel.observe(audit_event(h as u32, e));
                 }
@@ -553,19 +504,17 @@ pub fn run_crash_matrix(seed: &[u8], sealed: bool) -> XenResult<CrashMatrixRepor
                     sentinel.observe(dump_event(h as u32, &d));
                 }
             }
-            let critical =
-                sentinel.alerts().iter().filter(|a| a.severity == Severity::Critical).count();
+            let (alerts, critical, _) = close_sentinel(&sentinel, &mut t);
             if critical > 0 {
-                for a in sentinel.alerts() {
-                    report.failures.push(format!("{cell}: sentinel false positive: {}", a.line()));
+                for line in alerts {
+                    report.failures.push(format!("{cell}: sentinel false positive: {line}"));
                 }
             }
-            report.sentinel_critical += critical as u64;
-            transcript.push(critical as u8);
+            report.sentinel_critical += critical;
             report.cells.push(MatrixCell { role, after_step: k, survivor, moved });
         }
     }
-    report.transcript = sha256(&transcript);
+    report.transcript = t.digest();
     Ok(report)
 }
 
@@ -581,7 +530,7 @@ mod tests {
         assert_eq!(a, b, "replay must be byte-identical");
         assert!(a.divergences.is_empty(), "divergences: {:?}", a.divergences);
         // The seeded plan must actually exercise the machinery.
-        assert!(a.committed + a.aborted + a.rejected_stale + a.crashes + a.rebalance_moves > 0);
+        assert!(a.committed + a.aborted + a.rejected_stale + a.crashes > 0);
         let c = run_migration_chaos(b"mig-chaos-unit-2", &cfg).unwrap();
         assert_ne!(a.transcript, c.transcript, "different seeds, different transcripts");
     }

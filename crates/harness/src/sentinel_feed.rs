@@ -9,8 +9,9 @@
 use vtpm::VtpmManager;
 use vtpm_ac::{AuditEntry, AuditOutcome};
 use vtpm_attest::{AttestEvent, VerifierPool};
+use vtpm_cluster::Cluster;
 use vtpm_fleet::Fleet;
-use vtpm_sentinel::{Alert, AttestView, AuditKind, AuditView, DumpView, StreamEvent};
+use vtpm_sentinel::{Alert, AttestView, AuditKind, AuditView, DumpView, Sentinel, StreamEvent};
 use xen_sim::DumpEvent;
 
 /// Flatten one audit-chain entry for the sentinel stream.
@@ -29,6 +30,35 @@ pub fn audit_event(host: u32, e: &AuditEntry) -> StreamEvent {
         ordinal: e.ordinal,
         kind,
     })
+}
+
+/// Stream cursors over a cluster's audit chains and migration spans.
+#[derive(Debug, Default)]
+pub(crate) struct ClusterFeed {
+    audit: Vec<usize>,
+    spans: usize,
+}
+
+impl ClusterFeed {
+    /// Feed the sentinel every record new since the last call: each
+    /// host's audit entries in host order (a host that joined since
+    /// starts from its first entry), then the migration spans. Each
+    /// record is fed exactly once.
+    pub(crate) fn feed(&mut self, cluster: &Cluster, sentinel: &mut Sentinel) {
+        self.audit.resize(cluster.hosts.len(), 0);
+        for (h, fed) in self.audit.iter_mut().enumerate() {
+            let entries = cluster.hosts[h].audit.entries();
+            for e in &entries[*fed..] {
+                sentinel.observe(audit_event(h as u32, e));
+            }
+            *fed = entries.len();
+        }
+        let spans = cluster.telemetry().spans();
+        for m in &spans[self.spans..] {
+            sentinel.observe(StreamEvent::MigrationSpan(m.clone()));
+        }
+        self.spans = spans.len();
+    }
 }
 
 /// Flatten one hypervisor dump-trail entry for the sentinel stream.

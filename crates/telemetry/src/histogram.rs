@@ -237,51 +237,43 @@ impl Histogram {
     }
 
     /// Freeze the histogram into a summary. Quantiles are bucket
-    /// midpoints (relative error ≤ 1/16 above the linear range).
+    /// midpoints (relative error ≤ 1/16 above the linear range), clamped
+    /// to the exact `max`: a bucket's midpoint can lie above every value
+    /// recorded in it, and a summary must never report a quantile larger
+    /// than its maximum.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Ordering::Relaxed);
         let sum = self.sum.load(Ordering::Relaxed);
         let max = self.max.load(Ordering::Relaxed);
-        let mut snap = HistogramSnapshot {
+        let mut quantiles = [0u64; 4];
+        if count > 0 {
+            // One walk over the buckets resolves every quantile; the
+            // ranks ascend with the quantiles, so they resolve in order.
+            let ranks = [0.50, 0.90, 0.99, 0.999].map(|q| ((q * count as f64).ceil() as u64).max(1));
+            let mut seen = 0u64;
+            let mut next = 0usize;
+            for (idx, b) in self.buckets.iter().enumerate() {
+                seen += b.load(Ordering::Relaxed);
+                while next < ranks.len() && seen >= ranks[next] {
+                    quantiles[next] = bucket_mid(idx).min(max);
+                    next += 1;
+                }
+                if next == ranks.len() {
+                    break;
+                }
+            }
+        }
+        let [p50, p90, p99, p999] = quantiles;
+        HistogramSnapshot {
             count,
             sum,
             mean: if count == 0 { 0.0 } else { sum as f64 / count as f64 },
-            p50: 0,
-            p90: 0,
-            p99: 0,
-            p999: 0,
+            p50,
+            p90,
+            p99,
+            p999,
             max,
-        };
-        if count == 0 {
-            return snap;
         }
-        // One walk over the buckets resolves every quantile.
-        let targets = [
-            (0.50, &mut snap.p50 as *mut u64),
-            (0.90, &mut snap.p90 as *mut u64),
-            (0.99, &mut snap.p99 as *mut u64),
-            (0.999, &mut snap.p999 as *mut u64),
-        ];
-        let mut needed: Vec<(u64, *mut u64)> = targets
-            .into_iter()
-            .map(|(q, out)| (((q * count as f64).ceil() as u64).max(1), out))
-            .collect();
-        needed.sort_by_key(|&(rank, _)| rank);
-        let mut seen = 0u64;
-        let mut next = 0usize;
-        for (idx, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            while next < needed.len() && seen >= needed[next].0 {
-                // The pointers all target fields of `snap` above; no
-                // aliasing, each written exactly once.
-                unsafe { *needed[next].1 = bucket_mid(idx) };
-                next += 1;
-            }
-            if next == needed.len() {
-                break;
-            }
-        }
-        snap
     }
 }
 
@@ -338,6 +330,36 @@ mod tests {
             let mid = bucket_mid(bucket_index(v));
             let err = (mid as f64 - v as f64).abs() / v as f64;
             assert!(err <= 1.0 / SUB_BUCKETS as f64 + 1e-9, "v={v} mid={mid} err={err}");
+        }
+    }
+
+    #[test]
+    fn quantiles_never_exceed_max() {
+        fn check(h: &Histogram, what: &str) {
+            let s = h.snapshot();
+            assert!(
+                s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.p999 && s.p999 <= s.max,
+                "{what}: {s:?}"
+            );
+        }
+        // A bucket midpoint above the one value recorded in it: 8192
+        // and 30000 used to summarise as p50 8447 and 30207.
+        for v in [0u64, 1, 15, 16, 17, 100, 8192, 30_000, 1 << 40, u64::MAX] {
+            let h = Histogram::new();
+            h.record(v);
+            check(&h, &format!("single {v}"));
+        }
+        // Seeded random mixes across magnitudes (xorshift64).
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for round in 0..64 {
+            let h = Histogram::new();
+            for _ in 0..1 + round * 7 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                h.record(x >> (x % 64));
+            }
+            check(&h, &format!("random round {round}"));
         }
     }
 

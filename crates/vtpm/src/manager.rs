@@ -43,10 +43,9 @@ pub struct ManagerConfig {
     /// Whether to charge the modelled hardware-TPM command cost to the
     /// virtual clock (true for experiments reporting virtual time).
     pub charge_virtual_time: bool,
-    /// Runtime switch for the telemetry registry (spans, histograms,
-    /// span ring). Has no effect when the `telemetry` feature is
-    /// compiled out; with the feature on but this false, the manager
-    /// mints no spans and `telemetry()` returns None.
+    /// The one switch for the telemetry registry (spans, histograms,
+    /// span ring). False: the manager mints no spans and `telemetry()`
+    /// returns None.
     pub telemetry_enabled: bool,
     /// Span-ring slots per stripe (16 stripes). Small values let tests
     /// provoke exact, countable overflow.
@@ -203,15 +202,13 @@ pub struct VtpmManager {
     next_instance: AtomicU32,
     /// Aggregate statistics.
     pub stats: ManagerStats,
-    /// Telemetry registry (None when disabled at runtime). Compiled out
-    /// entirely without the `telemetry` feature.
-    #[cfg(feature = "telemetry")]
+    /// Telemetry registry (None when disabled by
+    /// [`ManagerConfig::telemetry_enabled`]).
     telemetry: Option<Arc<Telemetry>>,
 }
 
-/// Build the registry a fresh manager should carry, honouring both the
-/// compile-time feature and the runtime config switch.
-#[cfg(feature = "telemetry")]
+/// Build the registry a fresh manager should carry, honouring the
+/// runtime config switch.
 fn make_telemetry(cfg: &ManagerConfig) -> Option<Arc<Telemetry>> {
     cfg.telemetry_enabled
         .then(|| Arc::new(Telemetry::with_span_capacity(cfg.telemetry_span_capacity)))
@@ -246,7 +243,6 @@ impl VtpmManager {
         Ok(VtpmManager {
             hv,
             seed: seed.to_vec(),
-            #[cfg(feature = "telemetry")]
             telemetry: make_telemetry(&cfg),
             admission: AdmissionController::new(cfg.admission),
             cfg,
@@ -279,7 +275,6 @@ impl VtpmManager {
         let mgr = VtpmManager {
             hv,
             seed: seed.to_vec(),
-            #[cfg(feature = "telemetry")]
             telemetry: make_telemetry(&cfg),
             admission: AdmissionController::new(cfg.admission),
             cfg,
@@ -335,24 +330,17 @@ impl VtpmManager {
         &self.hv
     }
 
-    /// The telemetry registry, when the `telemetry` feature is compiled
-    /// in and [`ManagerConfig::telemetry_enabled`] is set. Statically
-    /// `None` otherwise, so instrumentation guarded on it folds away.
+    /// The telemetry registry, when [`ManagerConfig::telemetry_enabled`]
+    /// is set; `None` otherwise, so instrumentation guarded on it is one
+    /// branch.
     #[inline]
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.as_ref()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            None
-        }
+        self.telemetry.as_ref()
     }
 
     /// One coherent snapshot of the whole registry, with the mirror
     /// hygiene and nonce-audit counters folded in as auxiliary gauges.
-    /// None when telemetry is off (either switch).
+    /// None when telemetry is off.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         let t = self.telemetry()?;
         let io = self.mirror.io_stats();

@@ -2,8 +2,11 @@
 # The CI gate: everything a change must survive before merging.
 #
 #   1. tier-1: release build + the full test suite of the root package,
-#      then the `vtpm` and `vtpm-harness` crate tests (the mirror crash,
-#      nonce-burn and scrub tests live in `vtpm`);
+#      then the `vtpm`, `vtpm-harness`, `vtpm-cluster` and
+#      `vtpm-telemetry` crate tests (the mirror crash, nonce-burn and
+#      scrub tests live in `vtpm`, the migration protocol and crash
+#      tests in `vtpm-cluster`, the histogram and exporter tests in
+#      `vtpm-telemetry`);
 #   2. chaos smoke: 8 seeded fault scenarios through the full stack,
 #      each replayed twice (determinism) — parallel across cores;
 #   3. migration chaos smoke: 8 seeded multi-host migration scenarios
@@ -86,8 +89,8 @@ cargo build --release --workspace --all-targets
 echo "== tier-1: tests =="
 cargo test -q
 
-echo "== vtpm + harness crate tests =="
-cargo test --release -p vtpm -p vtpm-harness
+echo "== vtpm + harness + cluster + telemetry crate tests =="
+cargo test --release -p vtpm -p vtpm-harness -p vtpm-cluster -p vtpm-telemetry
 
 echo "== chaos smoke: 8 seeds, replayed twice each =="
 CHAOS_BASE=ci CHAOS_FAMILY=mirror scripts/chaos.sh 8
