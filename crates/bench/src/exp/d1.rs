@@ -256,8 +256,8 @@ fn inject_a1() -> AttackRow {
     }
     // Pre-attack exhaust is context, not evidence: feed it first.
     let mut sentinel = Sentinel::new(SentinelConfig::default());
-    let context = sp.hook.audit.entries();
-    for e in &context {
+    let context = sp.hook.audit.len() as u64;
+    for e in &sp.hook.audit.entries_since(0) {
         sentinel.observe(audit_event(0, e));
     }
     let hv = sp.platform.manager.hypervisor();
@@ -265,8 +265,10 @@ fn inject_a1() -> AttackRow {
 
     let outcome = dump_instance_state(&sp.platform, &victim);
 
-    let post_audit = sp.hook.audit.entries();
-    let stream = post_audit[context.len()..]
+    let stream = sp
+        .hook
+        .audit
+        .entries_since(context)
         .iter()
         .map(|e| audit_event(0, e))
         .chain(hv.dump_events().iter().map(|d| dump_event(0, d)))
@@ -294,8 +296,8 @@ fn inject_a7() -> AttackRow {
     }
     let mut sentinel = Sentinel::new(SentinelConfig::default());
     for h in 0..3u32 {
-        for e in cluster.hosts[h as usize].audit.entries() {
-            sentinel.observe(audit_event(h, &e));
+        for e in &cluster.hosts[h as usize].audit.entries_since(0) {
+            sentinel.observe(audit_event(h, e));
         }
     }
     let src = cluster.home_of(vm).expect("vm placed");
@@ -341,11 +343,11 @@ fn inject_replay_storm() -> AttackRow {
     let committed = cluster.migrate(vm, 1) == MigrateOutcome::Committed;
 
     let mut sentinel = Sentinel::new(SentinelConfig::default());
-    let mut context = [0usize; 2];
+    let mut context = [0u64; 2];
     for h in 0..2u32 {
-        let entries = cluster.hosts[h as usize].audit.entries();
-        context[h as usize] = entries.len();
-        for e in &entries {
+        let audit = &cluster.hosts[h as usize].audit;
+        context[h as usize] = audit.len() as u64;
+        for e in &audit.entries_since(0) {
             sentinel.observe(audit_event(h, e));
         }
     }
@@ -366,7 +368,9 @@ fn inject_replay_storm() -> AttackRow {
 
     let stream = (0..2u32)
         .flat_map(|h| {
-            cluster.hosts[h as usize].audit.entries()[context[h as usize]..]
+            cluster.hosts[h as usize]
+                .audit
+                .entries_since(context[h as usize])
                 .iter()
                 .map(|e| audit_event(h, e))
                 .collect::<Vec<_>>()

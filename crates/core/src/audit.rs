@@ -2,10 +2,24 @@
 //!
 //! Every access decision is appended as an entry hash-chained to its
 //! predecessor (`h_i = SHA256(h_{i-1} || entry_i)`), so truncation or
-//! in-place modification is detectable by re-walking the chain. In a full
-//! deployment the head hash would be periodically extended into a vTPM
-//! PCR; here the chain itself plus [`AuditLog::verify`] covers the
-//! mechanism.
+//! in-place modification is detectable by re-walking the chain.
+//!
+//! Memory is bounded: the log keeps only the last [`AUDIT_WINDOW`]
+//! entries plus the *anchor*, the index and chain value just before the
+//! first retained entry. Older entries are folded into the anchor and are
+//! gone; a deployment would periodically extend the anchor (or the head)
+//! into a vTPM PCR, or ship entries to a collector before they slide out.
+//! [`AuditLog::entries`] returns the window with its anchor, and
+//! [`AuditLog::verify`] walks it from there: it rejects any edited field,
+//! any dropped or reordered entry (the window's first included) and any
+//! edited anchor, but like any hash chain it cannot see a clean tail
+//! truncation or a consistently rewritten anchor without the externally
+//! anchored head. `len()` and `denials()` are run totals, not window
+//! counts; [`AuditLog::entries_since`] is the index-based cursor for
+//! consumers that stream the log.
+
+use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 use parking_lot::Mutex;
 use tpm_crypto::{sha256::Sha256, Digest};
@@ -114,10 +128,87 @@ fn chain_hash(prev: &[u8; 32], material: &[u8; 37]) -> [u8; 32] {
     out
 }
 
+/// Entries the log retains in memory (about 576 KiB of entries); older
+/// ones are folded into the window's [`AuditAnchor`].
+pub const AUDIT_WINDOW: usize = 8192;
+
+/// The chain position just before a retained window. The default is
+/// genesis: index 0 and the zero hash.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AuditAnchor {
+    /// Index of the first entry after the anchor (entries dropped so far).
+    pub index: u64,
+    /// Chain hash of entry `index - 1` (the zero hash at genesis).
+    pub chain: [u8; 32],
+}
+
+/// A copy of the retained entries together with their anchor, as
+/// returned by [`AuditLog::entries`]. Derefs to the entry `Vec`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AuditWindow {
+    /// The chain position before `entries[0]`.
+    pub anchor: AuditAnchor,
+    /// The retained entries, oldest first.
+    pub entries: Vec<AuditEntry>,
+}
+
+impl Deref for AuditWindow {
+    type Target = Vec<AuditEntry>;
+    fn deref(&self) -> &Vec<AuditEntry> {
+        &self.entries
+    }
+}
+
+impl DerefMut for AuditWindow {
+    fn deref_mut(&mut self) -> &mut Vec<AuditEntry> {
+        &mut self.entries
+    }
+}
+
+impl<'a> IntoIterator for &'a AuditWindow {
+    type Item = &'a AuditEntry;
+    type IntoIter = std::slice::Iter<'a, AuditEntry>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.iter()
+    }
+}
+
+/// Entries [`AuditLog::verify`] can walk: an [`AuditWindow`] from its
+/// carried anchor, a bare slice from genesis.
+pub trait AuditRecords {
+    /// The anchor to start from and the entries that follow it.
+    fn anchored(&self) -> (AuditAnchor, &[AuditEntry]);
+}
+
+impl AuditRecords for AuditWindow {
+    fn anchored(&self) -> (AuditAnchor, &[AuditEntry]) {
+        (self.anchor, &self.entries)
+    }
+}
+
+impl AuditRecords for [AuditEntry] {
+    fn anchored(&self) -> (AuditAnchor, &[AuditEntry]) {
+        (AuditAnchor::default(), self)
+    }
+}
+
+#[derive(Default)]
+struct Inner {
+    anchor: AuditAnchor,
+    window: VecDeque<AuditEntry>,
+    denials: usize,
+}
+
+impl Inner {
+    fn len(&self) -> u64 {
+        self.anchor.index + self.window.len() as u64
+    }
+}
+
 /// The log.
 #[derive(Default)]
 pub struct AuditLog {
-    entries: Mutex<Vec<AuditEntry>>,
+    inner: Mutex<Inner>,
 }
 
 impl AuditLog {
@@ -128,7 +219,8 @@ impl AuditLog {
 
     /// Append a decision; returns the new chain head. `request_id` is
     /// the telemetry id the manager minted for the request (0 outside
-    /// the request path); it is covered by the chain hash.
+    /// the request path); it is covered by the chain hash. Once the
+    /// window is full the oldest entry is folded into the anchor.
     pub fn record(
         &self,
         timestamp_ns: u64,
@@ -138,13 +230,20 @@ impl AuditLog {
         ordinal: u32,
         outcome: AuditOutcome,
     ) -> [u8; 32] {
-        let mut entries = self.entries.lock();
-        let index = entries.len() as u64;
-        let prev = entries.last().map(|e| e.chain).unwrap_or([0; 32]);
+        let mut inner = self.inner.lock();
+        let index = inner.len();
+        let prev = inner.window.back().map_or(inner.anchor.chain, |e| e.chain);
         let material =
             entry_material(index, timestamp_ns, request_id, domain, instance, ordinal, &outcome);
         let chain = chain_hash(&prev, &material);
-        entries.push(AuditEntry {
+        if inner.window.len() == AUDIT_WINDOW {
+            let dropped = inner.window.pop_front().expect("window is full");
+            inner.anchor = AuditAnchor { index: dropped.index + 1, chain: dropped.chain };
+        }
+        if matches!(outcome, AuditOutcome::Denied(_)) {
+            inner.denials += 1;
+        }
+        inner.window.push_back(AuditEntry {
             index,
             timestamp_ns,
             request_id,
@@ -157,41 +256,52 @@ impl AuditLog {
         chain
     }
 
-    /// Number of entries.
+    /// Number of entries ever recorded (not just the retained window).
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.inner.lock().len() as usize
     }
 
-    /// Whether the log is empty.
+    /// Whether nothing was ever recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.len() == 0
     }
 
-    /// Clone the entries (reporting).
-    pub fn entries(&self) -> Vec<AuditEntry> {
-        self.entries.lock().clone()
+    /// Copy the retained window and its anchor (reporting, verification).
+    pub fn entries(&self) -> AuditWindow {
+        let inner = self.inner.lock();
+        AuditWindow { anchor: inner.anchor, entries: inner.window.iter().cloned().collect() }
     }
 
-    /// Count of denied entries.
+    /// Copy the retained entries whose index is at least `index`: the
+    /// cursor for consumers that stream the log. A consumer that falls
+    /// more than [`AUDIT_WINDOW`] entries behind finds the first returned
+    /// index above the one it asked for; the entries between are gone.
+    pub fn entries_since(&self, index: u64) -> Vec<AuditEntry> {
+        let inner = self.inner.lock();
+        let skip = index.saturating_sub(inner.anchor.index).min(inner.window.len() as u64);
+        inner.window.range(skip as usize..).cloned().collect()
+    }
+
+    /// Count of denied entries ever recorded.
     pub fn denials(&self) -> usize {
-        self.entries
-            .lock()
-            .iter()
-            .filter(|e| matches!(e.outcome, AuditOutcome::Denied(_)))
-            .count()
+        self.inner.lock().denials
     }
 
     /// Current chain head (zero hash when empty).
     pub fn head(&self) -> [u8; 32] {
-        self.entries.lock().last().map(|e| e.chain).unwrap_or([0; 32])
+        let inner = self.inner.lock();
+        inner.window.back().map_or(inner.anchor.chain, |e| e.chain)
     }
 
-    /// Re-walk the chain; true iff every link verifies. `verify` on a
-    /// tampered copy (the attacker's edited log) returns false.
-    pub fn verify(entries: &[AuditEntry]) -> bool {
-        let mut prev = [0u8; 32];
+    /// Re-walk the chain from its anchor; true iff every link verifies.
+    /// `verify` on a tampered copy (the attacker's edited log) returns
+    /// false. A bare slice is walked from genesis, so a slid window
+    /// stripped of its anchor does not verify.
+    pub fn verify<R: AuditRecords + ?Sized>(records: &R) -> bool {
+        let (anchor, entries) = records.anchored();
+        let mut prev = anchor.chain;
         for (i, e) in entries.iter().enumerate() {
-            if e.index != i as u64 {
+            if e.index != anchor.index + i as u64 {
                 return false;
             }
             let material = entry_material(
@@ -322,6 +432,87 @@ mod tests {
         let mut entries = log.entries();
         entries[1].chain[0] ^= 1;
         assert!(!AuditLog::verify(&entries));
+    }
+
+    /// A log that has slid past its window by `extra` entries.
+    fn slid_log(extra: usize) -> AuditLog {
+        let log = log_with(AUDIT_WINDOW + extra);
+        assert_eq!(log.entries().anchor.index, extra as u64);
+        log
+    }
+
+    #[test]
+    fn memory_is_independent_of_run_length() {
+        const RECORDS: usize = 1_000_000;
+        let log = log_with(RECORDS);
+        {
+            let inner = log.inner.lock();
+            assert_eq!(inner.window.len(), AUDIT_WINDOW);
+            assert!(inner.window.capacity() <= 2 * AUDIT_WINDOW, "{}", inner.window.capacity());
+        }
+        assert_eq!(log.len(), RECORDS);
+        // log_with denies every third record.
+        assert_eq!(log.denials(), RECORDS.div_ceil(3));
+        let window = log.entries();
+        assert_eq!(window.len(), AUDIT_WINDOW);
+        assert_eq!(window.anchor.index, (RECORDS - AUDIT_WINDOW) as u64);
+        assert_eq!(window.last().unwrap().chain, log.head());
+        assert!(AuditLog::verify(&window));
+    }
+
+    #[test]
+    fn slid_window_rejects_edited_anchor() {
+        let log = slid_log(10);
+        let mut window = log.entries();
+        window.anchor.chain[5] ^= 1;
+        assert!(!AuditLog::verify(&window));
+        let mut window = log.entries();
+        window.anchor.index += 1;
+        assert!(!AuditLog::verify(&window));
+        // Stripped of its anchor the window is walked from genesis.
+        assert!(!AuditLog::verify(&log.entries().entries[..]));
+    }
+
+    #[test]
+    fn slid_window_rejects_dropped_or_reordered_entries() {
+        let log = slid_log(10);
+        let mut window = log.entries();
+        window.remove(0);
+        assert!(!AuditLog::verify(&window), "dropping the window's first entry");
+        let mut window = log.entries();
+        window.remove(AUDIT_WINDOW / 2);
+        assert!(!AuditLog::verify(&window));
+        let mut window = log.entries();
+        window.swap(0, 1);
+        assert!(!AuditLog::verify(&window));
+    }
+
+    #[test]
+    fn slid_window_rejects_edited_entries() {
+        let log = slid_log(10);
+        for edit in [
+            |e: &mut AuditEntry| e.domain = 99,
+            |e: &mut AuditEntry| e.timestamp_ns += 1,
+            |e: &mut AuditEntry| e.request_id = 42,
+            |e: &mut AuditEntry| e.outcome = AuditOutcome::Migration(MigrationStage::Aborted),
+            |e: &mut AuditEntry| e.chain[0] ^= 1,
+        ] {
+            for at in [0, AUDIT_WINDOW - 1] {
+                let mut window = log.entries();
+                edit(&mut window[at]);
+                assert!(!AuditLog::verify(&window), "edit at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn entries_since_is_an_index_cursor() {
+        let log = slid_log(100);
+        assert_eq!(log.entries_since(0).len(), AUDIT_WINDOW, "dropped entries are gone");
+        let tail = log.entries_since(log.len() as u64 - 3);
+        assert_eq!(tail.iter().map(|e| e.index).collect::<Vec<_>>(), [8289, 8290, 8291]);
+        assert!(log.entries_since(log.len() as u64).is_empty());
+        assert!(log.entries_since(u64::MAX).is_empty());
     }
 
     #[test]

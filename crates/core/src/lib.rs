@@ -36,7 +36,10 @@ pub mod policy;
 pub mod provision;
 pub mod replay;
 
-pub use audit::{AuditEntry, AuditLog, AuditOutcome, MigrationStage};
+pub use audit::{
+    AuditAnchor, AuditEntry, AuditLog, AuditOutcome, AuditRecords, AuditWindow, MigrationStage,
+    AUDIT_WINDOW,
+};
 pub use credentials::{CredentialTable, CREDENTIAL_LEN};
 pub use improved::{AcConfig, AcCosts, ImprovedHook};
 pub use policy::{OrdinalGroup, PolicyEngine, PolicyParseError};

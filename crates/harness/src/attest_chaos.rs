@@ -339,8 +339,8 @@ pub fn run_attest_chaos(seed: &[u8], cfg: &AttestChaosConfig) -> XenResult<Attes
     for ev in pool.drain_events() {
         sentinel.observe(attest_event(0, &ev));
     }
-    for entry in audit.entries() {
-        sentinel.observe(audit_event(0, &entry));
+    for entry in &audit.entries_since(0) {
+        sentinel.observe(audit_event(0, entry));
     }
 
     if cfg.storm {

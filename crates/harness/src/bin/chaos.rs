@@ -13,6 +13,11 @@
 //! order, and the exit status is unchanged: 0 clean, 1 divergence /
 //! nonce reuse / nondeterministic replay, 2 bad usage.
 //!
+//! Seed labels are `<base>-<N>` for the mirror family and
+//! `<base>-mig-<N>`, `<base>-att-<N>`, `<base>-fleet-<N>` for the
+//! others (the family is appended here, so `--base` takes a bare label
+//! such as `ci`); the crash matrix runs on `<base>-matrix`.
+//!
 //! `--family` picks the scenario family: `mirror` (default) is the
 //! single-host mirror pipeline, `migration` the multi-host cluster
 //! scenarios, `attest` the attestation-plane quote-storm/replay

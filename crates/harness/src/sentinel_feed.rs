@@ -35,7 +35,8 @@ pub fn audit_event(host: u32, e: &AuditEntry) -> StreamEvent {
 /// Stream cursors over a cluster's audit chains and migration spans.
 #[derive(Debug, Default)]
 pub(crate) struct ClusterFeed {
-    audit: Vec<usize>,
+    /// Per host, the audit index of the next entry to feed.
+    audit: Vec<u64>,
     spans: usize,
 }
 
@@ -43,15 +44,18 @@ impl ClusterFeed {
     /// Feed the sentinel every record new since the last call: each
     /// host's audit entries in host order (a host that joined since
     /// starts from its first entry), then the migration spans. Each
-    /// record is fed exactly once.
+    /// record is fed exactly once, as long as a host appends fewer than
+    /// [`vtpm_ac::AUDIT_WINDOW`] audit entries between calls.
     pub(crate) fn feed(&mut self, cluster: &Cluster, sentinel: &mut Sentinel) {
         self.audit.resize(cluster.hosts.len(), 0);
-        for (h, fed) in self.audit.iter_mut().enumerate() {
-            let entries = cluster.hosts[h].audit.entries();
-            for e in &entries[*fed..] {
+        for (h, next) in self.audit.iter_mut().enumerate() {
+            let entries = cluster.hosts[h].audit.entries_since(*next);
+            for e in &entries {
                 sentinel.observe(audit_event(h as u32, e));
             }
-            *fed = entries.len();
+            if let Some(last) = entries.last() {
+                *next = last.index + 1;
+            }
         }
         let spans = cluster.telemetry().spans();
         for m in &spans[self.spans..] {
@@ -273,6 +277,37 @@ mod tests {
         let fresh: Vec<Alert> = sentinel.alerts()[2..].to_vec();
         assert_eq!(apply_slo_alerts(&mut fleet, &fresh), (0, 1));
         assert!(!fleet.paused());
+    }
+
+    #[test]
+    fn cluster_feed_streams_each_audit_record_once_across_a_window_slide() {
+        use vtpm_ac::{AuditOutcome, AUDIT_WINDOW};
+        use vtpm_cluster::{Cluster, ClusterConfig};
+
+        let cluster = Cluster::new(b"feed-slide", ClusterConfig::default()).unwrap();
+        let base: Vec<u64> = cluster.hosts.iter().map(|h| h.audit.len() as u64).collect();
+        let mut feed = ClusterFeed::default();
+        let mut sentinel = Sentinel::new(SentinelConfig::default());
+        feed.feed(&cluster, &mut sentinel);
+        let mut expected: u64 = base.iter().sum();
+        assert_eq!(sentinel.events_seen(), expected);
+
+        // Rounds of just under a window each push host 0 well past two
+        // window slides; every record must still reach the sentinel once.
+        let round = AUDIT_WINDOW as u64 - 1;
+        for r in 0..3 {
+            for i in 0..round {
+                cluster.hosts[0].audit.record(r * round + i, 0, 1, 1, 0x17, AuditOutcome::Allowed);
+            }
+            feed.feed(&cluster, &mut sentinel);
+            expected += round;
+            assert_eq!(sentinel.events_seen(), expected, "round {r}");
+        }
+        assert!(cluster.hosts[0].audit.entries().anchor.index > 0, "the window slid");
+        assert_eq!(feed.audit[0], cluster.hosts[0].audit.len() as u64);
+        // A feed with nothing new observes nothing.
+        feed.feed(&cluster, &mut sentinel);
+        assert_eq!(sentinel.events_seen(), expected);
     }
 
     #[test]

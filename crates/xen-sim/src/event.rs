@@ -5,7 +5,9 @@
 //! The simulator implements the three-step Xen dance: the backend
 //! allocates an *unbound* port naming the peer, the peer *binds* to it to
 //! complete the interdomain pair, and thereafter `notify` on either end
-//! raises the pending flag on the other end. Waiting uses a condvar so the
+//! raises the pending flag on the other end. Each port has its own
+//! condvar, so a notify wakes only the thread blocked on the remote port
+//! (Xen upcalls only the vCPU bound to the signalled port) and the
 //! multi-threaded vTPM manager can block without spinning.
 
 use std::collections::HashMap;
@@ -42,6 +44,15 @@ enum ChannelState {
 struct PortRecord {
     state: ChannelState,
     pending: bool,
+    /// Signalled (under the table mutex) when this port's pending flag or
+    /// state changes; only threads waiting on this port block on it.
+    waiter: Arc<Condvar>,
+}
+
+impl PortRecord {
+    fn new(state: ChannelState) -> Self {
+        PortRecord { state, pending: false, waiter: Arc::default() }
+    }
 }
 
 #[derive(Default)]
@@ -54,7 +65,6 @@ struct Inner {
 #[derive(Clone, Default)]
 pub struct EventChannels {
     inner: Arc<Mutex<Inner>>,
-    wakeup: Arc<Condvar>,
 }
 
 impl EventChannels {
@@ -74,7 +84,7 @@ impl EventChannels {
     pub fn alloc_unbound(&self, owner: DomainId, peer: DomainId) -> Endpoint {
         let mut inner = self.inner.lock();
         let ep = Self::alloc_port(&mut inner, owner);
-        inner.ports.insert(ep, PortRecord { state: ChannelState::Unbound { peer }, pending: false });
+        inner.ports.insert(ep, PortRecord::new(ChannelState::Unbound { peer }));
         ep
     }
 
@@ -87,15 +97,14 @@ impl EventChannels {
             _ => return Err(XenError::BadPort),
         }
         let local = Self::alloc_port(&mut inner, binder);
-        inner
-            .ports
-            .insert(local, PortRecord { state: ChannelState::Bound { remote }, pending: false });
+        inner.ports.insert(local, PortRecord::new(ChannelState::Bound { remote }));
         let rec = inner.ports.get_mut(&remote).expect("checked above");
         rec.state = ChannelState::Bound { remote: local };
         Ok(local)
     }
 
-    /// Raise the event on the *other* end of `local`'s channel.
+    /// Raise the event on the *other* end of `local`'s channel, waking
+    /// only the waiters on that remote port.
     pub fn notify(&self, local: Endpoint) -> Result<()> {
         let mut inner = self.inner.lock();
         let remote = match inner.ports.get(&local) {
@@ -104,8 +113,9 @@ impl EventChannels {
         };
         let rec = inner.ports.get_mut(&remote).ok_or(XenError::BadPort)?;
         rec.pending = true;
+        let waiter = Arc::clone(&rec.waiter);
         drop(inner);
-        self.wakeup.notify_all();
+        waiter.notify_all();
         Ok(())
     }
 
@@ -132,49 +142,51 @@ impl EventChannels {
             if matches!(rec.state, ChannelState::Closed) {
                 return Err(XenError::BadPort);
             }
-            if self.wakeup.wait_until(&mut inner, deadline).timed_out() {
+            let waiter = Arc::clone(&rec.waiter);
+            if waiter.wait_until(&mut inner, deadline).timed_out() {
                 return Ok(false);
             }
         }
     }
 
-    /// Close `local`, marking both ends dead. Waiters are woken and see
-    /// [`XenError::BadPort`].
-    pub fn close(&self, local: Endpoint) -> Result<()> {
-        let mut inner = self.inner.lock();
-        let state = match inner.ports.get_mut(&local) {
-            Some(rec) => std::mem::replace(&mut rec.state, ChannelState::Closed),
-            None => return Err(XenError::BadPort),
-        };
-        if let ChannelState::Bound { remote } = state {
+    /// Mark `local` and, if bound, its remote end dead; returns the
+    /// waiters of every port it closed.
+    fn close_locked(inner: &mut Inner, local: Endpoint) -> Option<Vec<Arc<Condvar>>> {
+        let rec = inner.ports.get_mut(&local)?;
+        let mut woken = vec![Arc::clone(&rec.waiter)];
+        if let ChannelState::Bound { remote } =
+            std::mem::replace(&mut rec.state, ChannelState::Closed)
+        {
             if let Some(rrec) = inner.ports.get_mut(&remote) {
                 rrec.state = ChannelState::Closed;
+                woken.push(Arc::clone(&rrec.waiter));
             }
         }
-        drop(inner);
-        self.wakeup.notify_all();
+        Some(woken)
+    }
+
+    /// Close `local`, marking both ends dead. Waiters on either end are
+    /// woken and see [`XenError::BadPort`].
+    pub fn close(&self, local: Endpoint) -> Result<()> {
+        let woken = Self::close_locked(&mut self.inner.lock(), local).ok_or(XenError::BadPort)?;
+        woken.iter().for_each(|w| w.notify_all());
         Ok(())
     }
 
-    /// Tear down every port owned by `domain` (domain destruction).
+    /// Tear down every port owned by `domain` (domain destruction). The
+    /// waiters of every port closed or removed are woken and see
+    /// [`XenError::BadPort`].
     pub fn purge_domain(&self, domain: DomainId) {
         let mut inner = self.inner.lock();
         let locals: Vec<Endpoint> =
             inner.ports.keys().filter(|ep| ep.domain == domain).copied().collect();
+        let mut woken = Vec::new();
         for local in locals {
-            if let Some(rec) = inner.ports.get_mut(&local) {
-                if let ChannelState::Bound { remote } =
-                    std::mem::replace(&mut rec.state, ChannelState::Closed)
-                {
-                    if let Some(rrec) = inner.ports.get_mut(&remote) {
-                        rrec.state = ChannelState::Closed;
-                    }
-                }
-            }
+            woken.extend(Self::close_locked(&mut inner, local).into_iter().flatten());
             inner.ports.remove(&local);
         }
         drop(inner);
-        self.wakeup.notify_all();
+        woken.iter().for_each(|w| w.notify_all());
     }
 }
 
@@ -256,6 +268,88 @@ mod tests {
         let (back, _front) = pair(&ev);
         ev.purge_domain(D1);
         assert_eq!(ev.notify(back), Err(XenError::BadPort));
+    }
+
+    #[test]
+    fn close_wakes_blocked_peer_waiter() {
+        let ev = EventChannels::new();
+        let (back, front) = pair(&ev);
+        let ev2 = ev.clone();
+        let t = std::thread::spawn(move || {
+            let start = std::time::Instant::now();
+            (ev2.wait(back, Duration::from_secs(5)), start.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        ev.close(front).unwrap();
+        let (res, waited) = t.join().unwrap();
+        assert_eq!(res, Err(XenError::BadPort));
+        assert!(waited < Duration::from_secs(2), "woken by close, not the timeout: {waited:?}");
+    }
+
+    #[test]
+    fn purge_wakes_blocked_dom0_waiter() {
+        let ev = EventChannels::new();
+        let (back, _front) = pair(&ev);
+        let ev2 = ev.clone();
+        let t = std::thread::spawn(move || {
+            let start = std::time::Instant::now();
+            (ev2.wait(back, Duration::from_secs(5)), start.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        ev.purge_domain(D1);
+        let (res, waited) = t.join().unwrap();
+        assert_eq!(res, Err(XenError::BadPort));
+        assert!(waited < Duration::from_secs(2), "woken by purge, not the timeout: {waited:?}");
+    }
+
+    #[test]
+    fn notify_leaves_other_channels_blocked() {
+        let ev = EventChannels::new();
+        let (back1, front1) = pair(&ev);
+        let back2 = ev.alloc_unbound(D0, D2);
+        let front2 = ev.bind_interdomain(D2, back2).unwrap();
+        let ev2 = ev.clone();
+        let t = std::thread::spawn(move || ev2.wait(front2, Duration::from_millis(200)));
+        std::thread::sleep(Duration::from_millis(20));
+        ev.notify(back1).unwrap();
+        assert_eq!(t.join().unwrap(), Ok(false), "an event on another channel is not ours");
+        // The event on the first channel is still pending for its owner.
+        assert!(ev.poll(front1).unwrap());
+    }
+
+    #[test]
+    fn concurrent_pairs_each_see_only_their_own_event() {
+        let ev = EventChannels::new();
+        let pairs = [pair(&ev), {
+            let back = ev.alloc_unbound(D0, D2);
+            (back, ev.bind_interdomain(D2, back).unwrap())
+        }];
+        let waiters: Vec<_> = pairs
+            .iter()
+            .map(|&(_, front)| {
+                let ev = ev.clone();
+                std::thread::spawn(move || ev.wait(front, Duration::from_secs(5)))
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        let notifiers: Vec<_> = pairs
+            .iter()
+            .map(|&(back, _)| {
+                let ev = ev.clone();
+                std::thread::spawn(move || ev.notify(back))
+            })
+            .collect();
+        for n in notifiers {
+            n.join().unwrap().unwrap();
+        }
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), Ok(true));
+        }
+        // Each event was consumed exactly once, by its own waiter.
+        for &(back, front) in &pairs {
+            assert!(!ev.poll(front).unwrap());
+            assert!(!ev.poll(back).unwrap());
+        }
     }
 
     #[test]

@@ -80,8 +80,8 @@ fn main() {
     // exhaust as a virtual-time stream, flags the attempt.
     let mut sentinel = Sentinel::new(SentinelConfig::default());
     for (h, host) in cluster.hosts.iter().enumerate() {
-        for e in host.audit.entries() {
-            sentinel.observe(audit_event(h as u32, &e));
+        for e in &host.audit.entries_since(0) {
+            sentinel.observe(audit_event(h as u32, e));
         }
         for d in host.platform.hv.dump_events() {
             sentinel.observe(dump_event(h as u32, &d));

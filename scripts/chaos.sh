@@ -13,11 +13,16 @@
 # step migration matrix on one extra seed), and the attestation-plane
 # quote-storm/replay scenarios.
 #
+# Seed labels: the chaos CLI appends the family to the base label
+# (CHAOS_BASE, default `chaos`), so base `B` runs `B-N` (mirror),
+# `B-mig-N`, `B-att-N`, `B-fleet-N` and the matrix seed `B-matrix`.
+# Pass a bare base such as `ci`, not `ci-mig`.
+#
 # Usage:
 #   scripts/chaos.sh                 # 32 seeds/family, encrypted mirror
 #   scripts/chaos.sh 64              # more seeds
 #   scripts/chaos.sh 32 cleartext    # baseline mirror mode
-#   CHAOS_BASE=nightly scripts/chaos.sh   # distinct seed namespace
+#   CHAOS_BASE=nightly scripts/chaos.sh   # seeds nightly-N, nightly-mig-N, ...
 #   CHAOS_JOBS=4 scripts/chaos.sh    # cap worker threads
 #   CHAOS_FAMILY=mirror scripts/chaos.sh  # one family only
 #   CHAOS_FAMILY=attest scripts/chaos.sh  # attestation plane only

@@ -2,11 +2,12 @@
 # The CI gate: everything a change must survive before merging.
 #
 #   1. tier-1: release build + the full test suite of the root package,
-#      then the `vtpm`, `vtpm-harness`, `vtpm-cluster` and
-#      `vtpm-telemetry` crate tests (the mirror crash, nonce-burn and
-#      scrub tests live in `vtpm`, the migration protocol and crash
+#      then the `vtpm`, `vtpm-harness`, `vtpm-cluster`, `vtpm-telemetry`,
+#      `xen-sim` and `vtpm-ac` crate tests (the mirror crash, nonce-burn
+#      and scrub tests live in `vtpm`, the migration protocol and crash
 #      tests in `vtpm-cluster`, the histogram and exporter tests in
-#      `vtpm-telemetry`);
+#      `vtpm-telemetry`, the event-channel wakeup tests in `xen-sim`,
+#      the AC4 audit-window tests in `vtpm-ac`);
 #   2. chaos smoke: 8 seeded fault scenarios through the full stack,
 #      each replayed twice (determinism) — parallel across cores;
 #   3. migration chaos smoke: 8 seeded multi-host migration scenarios
@@ -59,6 +60,10 @@
 #      controller's heartbeat period (the R-O1 self-overhead budget,
 #      lifted to the fleet plane).
 #
+# The chaos steps all pass `--base ci`; the chaos CLI appends the
+# family, so they run the seeds `ci-N`, `ci-mig-N` (+ `ci-matrix`),
+# `ci-att-N` and `ci-fleet-N` for N in 0..8.
+#
 # Every gated `repro` step runs with `--json`: the table goes to the
 # log (stderr) and the experiment's artifact to
 # target/bench/BENCH_<exp>.json, so a green run leaves the CI-sized
@@ -89,15 +94,16 @@ cargo build --release --workspace --all-targets
 echo "== tier-1: tests =="
 cargo test -q
 
-echo "== vtpm + harness + cluster + telemetry crate tests =="
-cargo test --release -p vtpm -p vtpm-harness -p vtpm-cluster -p vtpm-telemetry
+echo "== vtpm + harness + cluster + telemetry + xen-sim + vtpm-ac crate tests =="
+cargo test --release -p vtpm -p vtpm-harness -p vtpm-cluster -p vtpm-telemetry \
+    -p xen-sim -p vtpm-ac
 
 echo "== chaos smoke: 8 seeds, replayed twice each =="
 CHAOS_BASE=ci CHAOS_FAMILY=mirror scripts/chaos.sh 8
 
 echo "== migration chaos smoke: 8 seeds + crash-at-every-step matrix =="
 cargo run --release -p vtpm-harness --bin chaos -- \
-    --seeds 8 --base ci-mig --family migration --matrix
+    --seeds 8 --base ci --family migration --matrix
 
 echo "== R-O1: telemetry overhead budget (hard 3% gate) =="
 repro o1
@@ -116,14 +122,14 @@ repro c1 --quick
 
 echo "== attest chaos smoke: 8 seeds, replayed twice each =="
 cargo run --release -p vtpm-harness --bin chaos -- \
-    --seeds 8 --base ci-att --family attest
+    --seeds 8 --base ci --family attest
 
 echo "== R-A1: attestation plane (cached qps >= 3x, clean defense sweep) =="
 repro a1 --quick
 
 echo "== fleet chaos smoke: 8 seeds, replayed twice each =="
 cargo run --release -p vtpm-harness --bin chaos -- \
-    --seeds 8 --base ci-fleet --family fleet
+    --seeds 8 --base ci --family fleet
 
 echo "== R-M2: fleet churn sweep (exactly-once accounting, single-winner conflicts) =="
 repro m2 --quick
